@@ -103,61 +103,97 @@ struct ClassNode {
     open: bool,
 }
 
+/// Sentinel for "no index" in the dense per-vertex tables below.
+const NONE: u32 = u32::MAX;
+
 /// Runs the level-based Algorithm 1 over the whole graph.
 pub fn centralized_k_clustering(g: &Wpg, k: usize) -> GlobalClustering {
     assert!(k >= 1, "anonymity level must be at least 1");
     let mut edges: Vec<Edge> = g.edges().collect();
-    level_cluster_edge_list(g.n(), None, &mut edges, k)
+    level_cluster_local(g.n(), &mut edges, k)
 }
 
 /// Level-based Algorithm 1 restricted to the induced subgraph on `members` —
 /// the third step of the distributed algorithm (Algorithm 2, line 16).
+/// Walks only the members' adjacency, so the cost does not depend on the
+/// size of `g`. Members outside `g` are isolated vertices.
 pub fn centralized_k_clustering_subset(g: &Wpg, members: &[UserId], k: usize) -> GlobalClustering {
-    let member_set: std::collections::HashSet<UserId> = members.iter().copied().collect();
-    let edges: Vec<Edge> = g
-        .edges()
-        .filter(|e| member_set.contains(&e.u) && member_set.contains(&e.v))
+    let edges: Vec<Edge> = members
+        .iter()
+        .filter(|&&m| (m as usize) < g.n())
+        .flat_map(|&m| {
+            g.neighbors(m)
+                .filter(move |&(v, _)| m < v)
+                .map(move |(v, w)| Edge { u: m, v, w })
+        })
         .collect();
     centralized_k_clustering_edges(members, &edges, k)
 }
 
 /// Level-based Algorithm 1 over an explicit vertex set and edge list — used
 /// by the distributed algorithm, whose host only holds the adjacency it
-/// gathered over the network. Every edge must join two members.
+/// gathered over the network. Edges with an endpoint outside `members` are
+/// ignored.
+///
+/// Costs `O(|members| + |edges| log |edges|)` whatever the id range: the
+/// members are relabelled to `0..V` by rank, the level passes and the
+/// packing run on that dense range, and the clusters are mapped back. The
+/// relabelling is monotone, so it keeps the `(w, u, v)` edge order and
+/// every comparison the algorithm makes — the result equals running it on
+/// the original ids.
 pub fn centralized_k_clustering_edges(
     members: &[UserId],
     edges: &[Edge],
     k: usize,
 ) -> GlobalClustering {
     assert!(k >= 1, "anonymity level must be at least 1");
-    let n = members
+    let ids = sorted_ids(members);
+    let rank = |x: UserId| ids.binary_search(&x).ok().map(|i| i as UserId);
+    let mut local: Vec<Edge> = edges
         .iter()
-        .copied()
-        .max()
-        .map(|m| m as usize + 1)
-        .unwrap_or(0);
-    let mut edges = edges.to_vec();
-    level_cluster_edge_list(n, Some(members), &mut edges, k)
+        .filter_map(|e| {
+            Some(Edge {
+                u: rank(e.u)?,
+                v: rank(e.v)?,
+                w: e.w,
+            })
+        })
+        .collect();
+    to_global(level_cluster_local(ids.len(), &mut local, k), &ids)
 }
 
-/// Shared core of the level-based algorithm.
-fn level_cluster_edge_list(
-    n: usize,
-    vertices: Option<&[UserId]>,
-    edges: &mut [Edge],
-    k: usize,
-) -> GlobalClustering {
+/// The distinct members in ascending order; a member's local id is its
+/// position here.
+fn sorted_ids(members: &[UserId]) -> Vec<UserId> {
+    let mut ids = members.to_vec();
+    ids.sort_unstable();
+    ids.dedup();
+    ids
+}
+
+/// Maps a clustering over local ids `0..ids.len()` back to `ids`. The map
+/// is monotone, so every sorted list stays sorted.
+fn to_global(mut r: GlobalClustering, ids: &[UserId]) -> GlobalClustering {
+    let local = r
+        .clusters
+        .iter_mut()
+        .flat_map(|c| c.members.iter_mut())
+        .chain(r.underfilled.iter_mut().flatten());
+    for m in local {
+        *m = ids[*m as usize];
+    }
+    r
+}
+
+/// Shared core of the level-based algorithm, over vertices `0..n`. Every
+/// edge endpoint must be `< n`.
+fn level_cluster_local(n: usize, edges: &mut [Edge], k: usize) -> GlobalClustering {
     edges.sort_unstable_by_key(|e| (e.w, e.u, e.v));
-    let vertex_list: Vec<UserId> = match vertices {
-        Some(vs) => vs.to_vec(),
-        None => (0..n as UserId).collect(),
-    };
 
     // ---- Pass 1: build the class-merge forest by ascending weight levels.
-    let mut nodes: Vec<ClassNode> = Vec::with_capacity(2 * vertex_list.len());
-    let mut node_of_root = vec![u32::MAX; n];
-    for &v in &vertex_list {
-        node_of_root[v as usize] = nodes.len() as u32;
+    // Leaf node `v` is vertex `v`.
+    let mut nodes: Vec<ClassNode> = Vec::with_capacity(2 * n);
+    for v in 0..n as UserId {
         nodes.push(ClassNode {
             level: 0,
             size: 1,
@@ -166,6 +202,7 @@ fn level_cluster_edge_list(
             open: false,
         });
     }
+    let mut node_of_root: Vec<u32> = (0..n as u32).collect();
     let mut ds = DisjointSets::new(n);
     let mut level_start = 0;
     let mut opened: Vec<u32> = Vec::new();
@@ -225,22 +262,17 @@ fn level_cluster_edge_list(
         level_start = i;
     }
 
-    // ---- Pass 2: top-down cut — recurse into valid children only.
-    let mut roots: Vec<u32> = Vec::new();
-    {
-        let mut seen = std::collections::HashSet::new();
-        for &v in &vertex_list {
-            let r = ds.find(v);
-            if seen.insert(r) {
-                roots.push(node_of_root[r as usize]);
-            }
-        }
-    }
+    // ---- Pass 2: top-down cut — recurse into valid children only. The
+    // order the roots are visited in does not reach the output.
     let mut finals: Vec<u32> = Vec::new(); // final cluster nodes
     let mut stragglers: Vec<u32> = Vec::new(); // undersized side branches
     let mut underfilled_nodes: Vec<u32> = Vec::new();
     let mut stack: Vec<u32> = Vec::new();
-    for root in roots {
+    for v in 0..n as UserId {
+        if ds.find(v) != v {
+            continue;
+        }
+        let root = node_of_root[v as usize];
         if (nodes[root as usize].size as usize) < k {
             underfilled_nodes.push(root);
             continue;
@@ -319,13 +351,17 @@ fn level_cluster_edge_list(
     // Vertices of underfilled components have no seeded group; their edges
     // must not perturb the unsettled-group accounting.
     let mut in_underfilled = vec![false; n];
+    let mut underfilled = Vec::with_capacity(underfilled_nodes.len());
     for &u in &underfilled_nodes {
-        members_buf.clear();
-        collect_leaves(&nodes, u, &mut members_buf);
-        for &m in &members_buf {
-            in_underfilled[m as usize] = true;
+        let mut m = Vec::new();
+        collect_leaves(&nodes, u, &mut m);
+        for &x in &m {
+            in_underfilled[x as usize] = true;
         }
+        m.sort_unstable();
+        underfilled.push(m);
     }
+    underfilled.sort();
     if unsettled_groups > 0 {
         for e in edges.iter() {
             if in_underfilled[e.u as usize] {
@@ -355,40 +391,31 @@ fn level_cluster_edge_list(
         }
     }
 
-    // ---- Collect output.
-    let mut underfilled = Vec::new();
-    for &u in &underfilled_nodes {
-        members_buf.clear();
-        collect_leaves(&nodes, u, &mut members_buf);
-        let mut m = members_buf.clone();
-        m.sort_unstable();
-        underfilled.push(m);
-    }
-    let mut by_root: std::collections::HashMap<u32, Vec<UserId>> = std::collections::HashMap::new();
-    let underfilled_set: std::collections::HashSet<UserId> =
-        underfilled.iter().flatten().copied().collect();
-    for &v in &vertex_list {
-        if !underfilled_set.contains(&v) {
-            by_root.entry(ds2.find(v)).or_default().push(v);
+    // ---- Collect output: scanning vertices ascending opens the clusters
+    // in order of their smallest member, each member list already sorted.
+    let mut clusters: Vec<Cluster> = Vec::new();
+    let mut cluster_of = vec![NONE; n];
+    let mut cluster_of_root = vec![NONE; n];
+    for v in 0..n as UserId {
+        if in_underfilled[v as usize] {
+            continue;
         }
+        let r = ds2.find(v) as usize;
+        if cluster_of_root[r] == NONE {
+            cluster_of_root[r] = clusters.len() as u32;
+            clusters.push(Cluster {
+                members: Vec::new(),
+                connectivity: connectivity[r],
+            });
+        }
+        cluster_of[v as usize] = cluster_of_root[r];
+        clusters[cluster_of_root[r] as usize].members.push(v);
     }
-    let mut clusters: Vec<Cluster> = by_root
-        .into_iter()
-        .map(|(root, mut members)| {
-            members.sort_unstable();
-            Cluster {
-                members,
-                connectivity: connectivity[root as usize],
-            }
-        })
-        .collect();
-    clusters.sort_by_key(|c| c.members[0]);
     debug_assert!(
         clusters.iter().all(|c| c.members.len() >= k),
         "straggler attachment left an undersized cluster"
     );
-    underfilled.sort();
-    let clusters = pack_oversized_clusters(clusters, edges, k);
+    let clusters = pack_oversized_clusters(clusters, &cluster_of, edges, k);
     GlobalClustering {
         clusters,
         underfilled,
@@ -396,22 +423,58 @@ fn level_cluster_edge_list(
 }
 
 /// Divides every cluster of size ≥ 2k into t-connected groups of size ≥ k
-/// (the packing pass; see module docs). Groups are carved bottom-up along a
-/// BFS spanning tree of the cluster's ≤ t edges: whenever a residual subtree
-/// reaches k vertices it becomes a group, and the undersized root remainder
-/// merges into an adjacent group. Deterministic for a fixed edge order.
-pub(crate) fn pack_oversized_clusters(
+/// (the packing pass; see module docs). `cluster_of[v]` is the index of
+/// vertex `v`'s cluster ([`NONE`] for underfilled vertices). Each edge is
+/// routed once to the oversized cluster holding both endpoints, provided
+/// its weight is within that cluster's connectivity, so the pass costs
+/// `O(V + E)` however many clusters are packed.
+fn pack_oversized_clusters(
     clusters: Vec<Cluster>,
+    cluster_of: &[u32],
     edges: &[Edge],
     k: usize,
 ) -> Vec<Cluster> {
+    let oversized = |c: usize| clusters[c].members.len() >= 2 * k;
+    if !(0..clusters.len()).any(oversized) {
+        return clusters;
+    }
+    let owner = |e: &Edge| -> Option<usize> {
+        let c = cluster_of[e.u as usize];
+        (c != NONE && c == cluster_of[e.v as usize])
+            .then_some(c as usize)
+            .filter(|&c| oversized(c) && e.w <= clusters[c].connectivity)
+    };
+    // Counting sort of the routed edges by owning cluster.
+    let mut start = vec![0usize; clusters.len() + 1];
+    for e in edges {
+        if let Some(c) = owner(e) {
+            start[c + 1] += 1;
+        }
+    }
+    for c in 0..clusters.len() {
+        start[c + 1] += start[c];
+    }
+    let mut cursor = start[..clusters.len()].to_vec();
+    let mut routed = vec![Edge { u: 0, v: 0, w: 0 }; start[clusters.len()]];
+    for e in edges {
+        if let Some(c) = owner(e) {
+            routed[cursor[c]] = *e;
+            cursor[c] += 1;
+        }
+    }
+
+    let mut scratch = PackScratch {
+        pos: vec![0; cluster_of.len()],
+        ..PackScratch::default()
+    };
     let mut out = Vec::with_capacity(clusters.len());
-    for cluster in clusters {
+    for (c, cluster) in clusters.into_iter().enumerate() {
         if cluster.members.len() < 2 * k {
             out.push(cluster);
             continue;
         }
-        for members in pack_one(&cluster, edges, k) {
+        let own = &routed[start[c]..start[c + 1]];
+        for members in pack_one(&cluster.members, own, k, &mut scratch) {
             out.push(Cluster {
                 members,
                 connectivity: cluster.connectivity,
@@ -422,106 +485,127 @@ pub(crate) fn pack_oversized_clusters(
     out
 }
 
-/// Packs a single oversized cluster; returns ≥ 1 groups, each of size ≥ k,
-/// each connected through the cluster's ≤ t edges.
-fn pack_one(cluster: &Cluster, edges: &[Edge], k: usize) -> Vec<Vec<UserId>> {
-    use std::collections::{HashMap, HashSet, VecDeque};
-    let set: HashSet<UserId> = cluster.members.iter().copied().collect();
-    let mut adj: HashMap<UserId, Vec<UserId>> = HashMap::new();
-    for e in edges {
-        if e.w <= cluster.connectivity && set.contains(&e.u) && set.contains(&e.v) {
-            adj.entry(e.u).or_default().push(e.v);
-            adj.entry(e.v).or_default().push(e.u);
-        }
-    }
-    for nbrs in adj.values_mut() {
-        nbrs.sort_unstable();
-    }
-    // BFS spanning tree from the smallest member.
-    let root = cluster.members[0];
-    let mut parent: HashMap<UserId, UserId> = HashMap::from([(root, root)]);
-    let mut order: Vec<UserId> = vec![root];
-    let mut queue: VecDeque<UserId> = VecDeque::from([root]);
-    while let Some(v) = queue.pop_front() {
-        if let Some(nbrs) = adj.get(&v) {
-            for &y in nbrs {
-                if let std::collections::hash_map::Entry::Vacant(slot) = parent.entry(y) {
-                    slot.insert(v);
-                    order.push(y);
-                    queue.push_back(y);
-                }
-            }
-        }
-    }
-    debug_assert_eq!(
-        order.len(),
-        cluster.members.len(),
-        "cluster not t-connected"
-    );
+/// Buffers [`pack_one`] reuses across the clusters of one packing pass.
+/// Everything except `pos` is indexed by a vertex's position in the
+/// cluster being packed.
+#[derive(Default)]
+struct PackScratch {
+    /// Vertex id → position in its cluster's member list.
+    pos: Vec<u32>,
+    /// CSR adjacency over positions.
+    offsets: Vec<u32>,
+    nbrs: Vec<u32>,
+    cursor: Vec<u32>,
+    /// BFS spanning tree: parent and visit order.
+    parent: Vec<u32>,
+    order: Vec<u32>,
+    /// Uncarved subtree size collected from each vertex's children.
+    residual: Vec<u32>,
+    group: Vec<u32>,
+}
 
-    // Carve in reverse BFS order: when a residual subtree reaches k, it
-    // becomes a group and detaches.
-    let mut residual: HashMap<UserId, usize> = order.iter().map(|&v| (v, 1)).collect();
-    let mut group_of: HashMap<UserId, u32> = HashMap::new();
-    // Children still attached, per vertex (built reverse so carves prune).
-    let mut attached_children: HashMap<UserId, Vec<UserId>> = HashMap::new();
-    for &v in order.iter().skip(1) {
-        attached_children.entry(parent[&v]).or_default().push(v);
+/// Packs a single oversized cluster (members sorted ascending, `edges` its
+/// internal edges of weight ≤ t); returns ≥ 1 groups, each of size ≥ k,
+/// each connected through those edges, sorted by smallest member.
+///
+/// Groups are carved bottom-up along a BFS spanning tree rooted at the
+/// smallest member, with neighbours visited in ascending id order: whenever
+/// a residual subtree reaches k vertices it becomes a group, and the
+/// undersized root remainder merges into the group of its smallest carved
+/// child. Depends only on the edge set, not on its order.
+fn pack_one(members: &[UserId], edges: &[Edge], k: usize, s: &mut PackScratch) -> Vec<Vec<UserId>> {
+    let size = members.len();
+    for (i, &m) in members.iter().enumerate() {
+        s.pos[m as usize] = i as u32;
     }
-    let mut groups: Vec<Vec<UserId>> = Vec::new();
-    for &v in order.iter().rev() {
-        let size: usize = 1 + attached_children
-            .get(&v)
-            .map(|cs| cs.iter().map(|c| residual[c]).sum())
-            .unwrap_or(0);
-        residual.insert(v, size);
-        if size >= k && v != root {
-            // Carve the residual subtree rooted at v.
-            let gid = groups.len() as u32;
-            let mut grp = Vec::with_capacity(size);
-            let mut stack = vec![v];
-            while let Some(x) = stack.pop() {
-                grp.push(x);
-                group_of.insert(x, gid);
-                if let Some(cs) = attached_children.get(&x) {
-                    stack.extend(cs.iter().copied());
-                }
+    s.offsets.clear();
+    s.offsets.resize(size + 1, 0);
+    for e in edges {
+        s.offsets[s.pos[e.u as usize] as usize + 1] += 1;
+        s.offsets[s.pos[e.v as usize] as usize + 1] += 1;
+    }
+    for i in 0..size {
+        s.offsets[i + 1] += s.offsets[i];
+    }
+    s.cursor.clear();
+    s.cursor.extend_from_slice(&s.offsets[..size]);
+    s.nbrs.clear();
+    s.nbrs.resize(s.offsets[size] as usize, 0);
+    for e in edges {
+        let (a, b) = (s.pos[e.u as usize], s.pos[e.v as usize]);
+        s.nbrs[s.cursor[a as usize] as usize] = b;
+        s.cursor[a as usize] += 1;
+        s.nbrs[s.cursor[b as usize] as usize] = a;
+        s.cursor[b as usize] += 1;
+    }
+    // Positions follow id order, so sorting positions sorts ids.
+    for i in 0..size {
+        s.nbrs[s.offsets[i] as usize..s.offsets[i + 1] as usize].sort_unstable();
+    }
+
+    // BFS spanning tree from the smallest member; `order` doubles as the
+    // queue.
+    s.parent.clear();
+    s.parent.resize(size, NONE);
+    s.parent[0] = 0;
+    s.order.clear();
+    s.order.push(0);
+    let mut head = 0;
+    while head < s.order.len() {
+        let v = s.order[head] as usize;
+        head += 1;
+        for &y in &s.nbrs[s.offsets[v] as usize..s.offsets[v + 1] as usize] {
+            if s.parent[y as usize] == NONE {
+                s.parent[y as usize] = v as u32;
+                s.order.push(y);
             }
-            groups.push(grp);
-            // Detach from parent.
-            if let Some(cs) = attached_children.get_mut(&parent[&v]) {
-                cs.retain(|&c| c != v);
-            }
-            residual.insert(v, 0);
         }
     }
-    // Root remainder.
-    let mut leftover: Vec<UserId> = Vec::new();
-    {
-        let mut stack = vec![root];
-        while let Some(x) = stack.pop() {
-            leftover.push(x);
-            if let Some(cs) = attached_children.get(&x) {
-                stack.extend(cs.iter().copied());
-            }
+    debug_assert_eq!(s.order.len(), size, "cluster not t-connected");
+
+    // Carve in reverse BFS order (children before parents): when a
+    // residual subtree reaches k, it becomes a group and detaches;
+    // otherwise its size passes up to its parent.
+    s.residual.clear();
+    s.residual.resize(size, 0);
+    s.group.clear();
+    s.group.resize(size, NONE);
+    let mut carved = 0u32;
+    for &v in s.order[1..].iter().rev() {
+        let subtree = 1 + s.residual[v as usize];
+        if subtree as usize >= k {
+            s.group[v as usize] = carved;
+            carved += 1;
+        } else {
+            s.residual[s.parent[v as usize] as usize] += subtree;
         }
     }
-    if leftover.len() >= k || groups.is_empty() {
-        groups.push(leftover);
+    // Every other vertex joins the group carved at its nearest carved
+    // ancestor; the root remainder keeps NONE.
+    for &v in &s.order[1..] {
+        if s.group[v as usize] == NONE {
+            s.group[v as usize] = s.group[s.parent[v as usize] as usize];
+        }
+    }
+    let leftover = s.group.iter().filter(|&&g| g == NONE).count();
+    let remainder = if leftover >= k || carved == 0 {
+        carved // a group of its own
     } else {
-        // Merge the undersized remainder into the adjacent group reached by
-        // the smallest carved child of any leftover vertex.
-        let leftover_set: HashSet<UserId> = leftover.iter().copied().collect();
-        let target = order
-            .iter()
-            .filter(|&&v| !leftover_set.contains(&v) && leftover_set.contains(&parent[&v]))
-            .min()
-            .map(|&v| group_of[&v])
-            .expect("tree connectivity guarantees an adjacent group");
-        groups[target as usize].extend(leftover);
-    }
-    for g in &mut groups {
-        g.sort_unstable();
+        // Merge the undersized remainder into the group of the smallest
+        // carved vertex hanging off it; the tree is connected, so one
+        // exists.
+        (1..size)
+            .find(|&v| s.group[v] != NONE && s.group[s.parent[v] as usize] == NONE)
+            .map(|v| s.group[v])
+            .expect("tree connectivity guarantees an adjacent group")
+    };
+    let mut groups: Vec<Vec<UserId>> = vec![Vec::new(); carved.max(remainder + 1) as usize];
+    for (i, &m) in members.iter().enumerate() {
+        let g = match s.group[i] {
+            NONE => remainder,
+            g => g,
+        };
+        groups[g as usize].push(m);
     }
     groups.sort_by_key(|g| g[0]);
     debug_assert!(groups.iter().all(|g| g.len() >= k));
@@ -670,11 +754,143 @@ pub fn level_reference_k_clustering(g: &Wpg, k: usize) -> GlobalClustering {
         .collect();
     clusters.sort_by_key(|c| c.members[0]);
     underfilled.sort();
-    let clusters = pack_oversized_clusters(clusters, &all_edges, k);
+    let clusters = reference_pack_oversized_clusters(clusters, &all_edges, k);
     GlobalClustering {
         clusters,
         underfilled,
     }
+}
+
+/// The packing pass written directly over ids and the whole edge list:
+/// every cluster of size ≥ 2k filters `edges` for itself and packs through
+/// hash maps. Differential oracle for the routed dense packing of the
+/// production path (same carving rule, see [`pack_one`]).
+fn reference_pack_oversized_clusters(
+    clusters: Vec<Cluster>,
+    edges: &[Edge],
+    k: usize,
+) -> Vec<Cluster> {
+    let mut out = Vec::with_capacity(clusters.len());
+    for cluster in clusters {
+        if cluster.members.len() < 2 * k {
+            out.push(cluster);
+            continue;
+        }
+        for members in reference_pack_one(&cluster, edges, k) {
+            out.push(Cluster {
+                members,
+                connectivity: cluster.connectivity,
+            });
+        }
+    }
+    out.sort_by_key(|c| c.members[0]);
+    out
+}
+
+/// Packs a single oversized cluster; returns ≥ 1 groups, each of size ≥ k,
+/// each connected through the cluster's ≤ t edges.
+fn reference_pack_one(cluster: &Cluster, edges: &[Edge], k: usize) -> Vec<Vec<UserId>> {
+    use std::collections::{HashMap, HashSet, VecDeque};
+    let set: HashSet<UserId> = cluster.members.iter().copied().collect();
+    let mut adj: HashMap<UserId, Vec<UserId>> = HashMap::new();
+    for e in edges {
+        if e.w <= cluster.connectivity && set.contains(&e.u) && set.contains(&e.v) {
+            adj.entry(e.u).or_default().push(e.v);
+            adj.entry(e.v).or_default().push(e.u);
+        }
+    }
+    for nbrs in adj.values_mut() {
+        nbrs.sort_unstable();
+    }
+    // BFS spanning tree from the smallest member.
+    let root = cluster.members[0];
+    let mut parent: HashMap<UserId, UserId> = HashMap::from([(root, root)]);
+    let mut order: Vec<UserId> = vec![root];
+    let mut queue: VecDeque<UserId> = VecDeque::from([root]);
+    while let Some(v) = queue.pop_front() {
+        if let Some(nbrs) = adj.get(&v) {
+            for &y in nbrs {
+                if let std::collections::hash_map::Entry::Vacant(slot) = parent.entry(y) {
+                    slot.insert(v);
+                    order.push(y);
+                    queue.push_back(y);
+                }
+            }
+        }
+    }
+    debug_assert_eq!(
+        order.len(),
+        cluster.members.len(),
+        "cluster not t-connected"
+    );
+
+    // Carve in reverse BFS order: when a residual subtree reaches k, it
+    // becomes a group and detaches.
+    let mut residual: HashMap<UserId, usize> = order.iter().map(|&v| (v, 1)).collect();
+    let mut group_of: HashMap<UserId, u32> = HashMap::new();
+    // Children still attached, per vertex (built reverse so carves prune).
+    let mut attached_children: HashMap<UserId, Vec<UserId>> = HashMap::new();
+    for &v in order.iter().skip(1) {
+        attached_children.entry(parent[&v]).or_default().push(v);
+    }
+    let mut groups: Vec<Vec<UserId>> = Vec::new();
+    for &v in order.iter().rev() {
+        let size: usize = 1 + attached_children
+            .get(&v)
+            .map(|cs| cs.iter().map(|c| residual[c]).sum())
+            .unwrap_or(0);
+        residual.insert(v, size);
+        if size >= k && v != root {
+            // Carve the residual subtree rooted at v.
+            let gid = groups.len() as u32;
+            let mut grp = Vec::with_capacity(size);
+            let mut stack = vec![v];
+            while let Some(x) = stack.pop() {
+                grp.push(x);
+                group_of.insert(x, gid);
+                if let Some(cs) = attached_children.get(&x) {
+                    stack.extend(cs.iter().copied());
+                }
+            }
+            groups.push(grp);
+            // Detach from parent.
+            if let Some(cs) = attached_children.get_mut(&parent[&v]) {
+                cs.retain(|&c| c != v);
+            }
+            residual.insert(v, 0);
+        }
+    }
+    // Root remainder.
+    let mut leftover: Vec<UserId> = Vec::new();
+    {
+        let mut stack = vec![root];
+        while let Some(x) = stack.pop() {
+            leftover.push(x);
+            if let Some(cs) = attached_children.get(&x) {
+                stack.extend(cs.iter().copied());
+            }
+        }
+    }
+    if leftover.len() >= k || groups.is_empty() {
+        groups.push(leftover);
+    } else {
+        // Merge the undersized remainder into the adjacent group reached by
+        // the smallest carved child of any leftover vertex.
+        let leftover_set: HashSet<UserId> = leftover.iter().copied().collect();
+        let target = order
+            .iter()
+            .filter(|&&v| !leftover_set.contains(&v) && leftover_set.contains(&parent[&v]))
+            .min()
+            .map(|&v| group_of[&v])
+            .expect("tree connectivity guarantees an adjacent group");
+        groups[target as usize].extend(leftover);
+    }
+    for g in &mut groups {
+        g.sort_unstable();
+    }
+    groups.sort_by_key(|g| g[0]);
+    debug_assert!(groups.iter().all(|g| g.len() >= k));
+    groups
 }
 
 // ---------------------------------------------------------------------------
@@ -1078,6 +1294,141 @@ mod tests {
                 let fast = centralized_k_clustering(&g, k);
                 let slow = level_reference_k_clustering(&g, k);
                 assert_eq!(fast.clusters, slow.clusters, "seed={seed} k={k}");
+            }
+        }
+    }
+
+    /// Blobs of 2k–5k members joined by edges heavier than any blob edge,
+    /// with members at scattered ids among non-members that are wired to
+    /// them and to each other. Odd blobs use weight 1 only: each is a
+    /// t-class whose sub-classes are singletons, so it reaches packing
+    /// whole. Returns the graph, the members (shuffled) and the number of
+    /// weight-1 blobs.
+    fn scattered_blob_graph(k: usize, blobs: usize, seed: u64) -> (Wpg, Vec<UserId>, usize) {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        let sizes: Vec<usize> = (0..blobs).map(|_| rng.gen_range(2 * k..=5 * k)).collect();
+        let total: usize = sizes.iter().sum();
+        // Member i sits at id 3i + {0,1,2}: strictly increasing, with gaps.
+        let id: Vec<UserId> = (0..total)
+            .map(|i| (3 * i + rng.gen_range(0..3usize)) as UserId)
+            .collect();
+        let n = 3 * total + 4;
+        let mut edges: Vec<Edge> = Vec::new();
+        let mut first = 0;
+        for (b, &size) in sizes.iter().enumerate() {
+            let w_max = if b % 2 == 1 { 1 } else { 3 };
+            for j in 1..size {
+                let p = rng.gen_range(0..j);
+                edges.push(Edge::new(
+                    id[first + p],
+                    id[first + j],
+                    rng.gen_range(1..=w_max),
+                ));
+            }
+            for _ in 0..size / 2 {
+                let (a, c) = (rng.gen_range(0..size), rng.gen_range(0..size));
+                if a != c {
+                    edges.push(Edge::new(
+                        id[first + a],
+                        id[first + c],
+                        rng.gen_range(1..=w_max),
+                    ));
+                }
+            }
+            if first > 0 {
+                let a = rng.gen_range(0..first);
+                let c = first + rng.gen_range(0..size);
+                edges.push(Edge::new(id[a], id[c], rng.gen_range(4..=6)));
+            }
+            first += size;
+        }
+        let member_set: std::collections::HashSet<UserId> = id.iter().copied().collect();
+        let outsiders: Vec<UserId> = (0..n as UserId)
+            .filter(|x| !member_set.contains(x))
+            .collect();
+        for &x in &outsiders {
+            edges.push(Edge::new(
+                x,
+                id[rng.gen_range(0..total)],
+                rng.gen_range(1..=6),
+            ));
+            let y = outsiders[rng.gen_range(0..outsiders.len())];
+            if y != x {
+                edges.push(Edge::new(x, y, rng.gen_range(1..=6)));
+            }
+        }
+        edges.sort_unstable_by_key(|e| (e.u, e.v));
+        edges.dedup_by_key(|e| (e.u, e.v));
+        let mut members = id;
+        for i in (1..members.len()).rev() {
+            members.swap(i, rng.gen_range(0..=i));
+        }
+        (Wpg::from_edges(n, &edges), members, blobs / 2)
+    }
+
+    #[test]
+    fn fast_level_matches_reference_on_scattered_induced_subsets() {
+        for seed in 0..6u64 {
+            for k in [2usize, 3, 5] {
+                let (g, members, weight1_blobs) = scattered_blob_graph(k, 6, seed);
+                let member_set: std::collections::HashSet<UserId> =
+                    members.iter().copied().collect();
+                let internal: Vec<Edge> = g
+                    .edges()
+                    .filter(|e| member_set.contains(&e.u) && member_set.contains(&e.v))
+                    .collect();
+                // The oracle sees the induced subgraph at the original ids;
+                // every non-member is an isolated, underfilled singleton.
+                let slow = level_reference_k_clustering(&Wpg::from_edges(g.n(), &internal), k);
+                let slow_underfilled: Vec<Vec<UserId>> = slow
+                    .underfilled
+                    .into_iter()
+                    .filter(|c| member_set.contains(&c[0]))
+                    .collect();
+
+                let subset = centralized_k_clustering_subset(&g, &members, k);
+                assert_eq!(subset.clusters, slow.clusters, "seed={seed} k={k}");
+                assert_eq!(subset.underfilled, slow_underfilled, "seed={seed} k={k}");
+                assert!(
+                    subset.clusters.len() >= 6 + weight1_blobs,
+                    "seed={seed} k={k}: packing split fewer than {weight1_blobs} blobs"
+                );
+
+                let mut shuffled = internal.clone();
+                shuffled.reverse();
+                let listed = centralized_k_clustering_edges(&members, &shuffled, k);
+                assert_eq!(listed.clusters, slow.clusters, "seed={seed} k={k}");
+                assert_eq!(listed.underfilled, slow_underfilled, "seed={seed} k={k}");
+            }
+        }
+    }
+
+    #[test]
+    fn member_ids_near_u32_max_cluster_like_their_ranks() {
+        // Sizing per-vertex tables by the largest id would need 2^32
+        // entries here; the ids only matter through their order.
+        for seed in 0..4u64 {
+            let local = topology::small_world(60, 4, 0.3, 2, seed);
+            let ids: Vec<UserId> = (0..60u32).map(|i| UserId::MAX - (59 - i) * 7).collect();
+            let edges: Vec<Edge> = local
+                .edges()
+                .map(|e| Edge::new(ids[e.u as usize], ids[e.v as usize], e.w))
+                .collect();
+            for k in [2usize, 3, 5] {
+                let mut expect = centralized_k_clustering(&local, k);
+                for m in expect
+                    .clusters
+                    .iter_mut()
+                    .flat_map(|c| c.members.iter_mut())
+                    .chain(expect.underfilled.iter_mut().flatten())
+                {
+                    *m = ids[*m as usize];
+                }
+                let got = centralized_k_clustering_edges(&ids, &edges, k);
+                assert_eq!(got.clusters, expect.clusters, "seed={seed} k={k}");
+                assert_eq!(got.underfilled, expect.underfilled, "seed={seed} k={k}");
+                assert!(got.clusters.iter().all(|c| c.len() >= k));
             }
         }
     }

@@ -281,6 +281,9 @@ fn collect_border(
 
 /// Expands `in_c` to its t-reachability closure ("span C with new t",
 /// Algorithm 2 line 14), fetching adjacency of every vertex that enters.
+/// The walk starts from the members in id order (smallest popped first),
+/// so the fetch sequence — and with it which peer a lossy transport fails
+/// on — does not depend on hash-set iteration order.
 fn close_under_t(
     adj: &mut AdjCache<'_>,
     in_c: &mut HashSet<UserId>,
@@ -288,6 +291,7 @@ fn close_under_t(
     removed: &dyn Fn(UserId) -> bool,
 ) -> Result<(), ClusterError> {
     let mut stack: Vec<UserId> = in_c.iter().copied().collect();
+    stack.sort_unstable_by(|a, b| b.cmp(a));
     while let Some(x) = stack.pop() {
         let nbrs: Vec<(UserId, Weight)> = adj.get(x)?.to_vec();
         for (y, w) in nbrs {

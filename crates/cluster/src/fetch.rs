@@ -75,14 +75,18 @@ impl<'f> AdjCache<'f> {
         self.map.len() - usize::from(self.map.contains_key(&self.host))
     }
 
-    /// Every undirected edge among `members` known to the cache, each once.
+    /// Every undirected edge among `members` (sorted ascending) known to the
+    /// cache, each once.
     pub fn internal_edges(&self, members: &[UserId]) -> Vec<nela_wpg::Edge> {
-        let set: std::collections::HashSet<UserId> = members.iter().copied().collect();
+        debug_assert!(
+            members.windows(2).all(|p| p[0] < p[1]),
+            "members must be sorted and distinct"
+        );
         let mut edges = Vec::new();
         for &m in members {
             if let Some(adj) = self.map.get(&m) {
                 for &(v, w) in adj {
-                    if m < v && set.contains(&v) {
+                    if m < v && members.binary_search(&v).is_ok() {
                         edges.push(nela_wpg::Edge::new(m, v, w));
                     }
                 }

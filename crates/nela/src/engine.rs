@@ -1878,6 +1878,52 @@ mod tests {
     }
 
     #[test]
+    fn lossy_netsim_replay_repeats_error_payloads() {
+        // Heavy loss exhausts retries while a super-cluster is being closed
+        // under t. The closure fetches peers in id order, so a replay in the
+        // same process names the same unreachable peer, not just the same
+        // error kind.
+        let s = small_system();
+        let hosts = s.host_sequence(400, 14);
+        let cfg = NetworkConfig {
+            loss: 0.3,
+            max_retries: 2,
+            seed: 9,
+            ..NetworkConfig::default()
+        };
+        let run = || {
+            let session =
+                CloakingEngine::new(&s, ClusteringAlgo::TConnDistributed, BoundingAlgo::Secure)
+                    .into_session(2)
+                    .with_network(cfg)
+                    .unwrap();
+            hosts
+                .iter()
+                .map(|&h| {
+                    session.request(h).map(|r| {
+                        (
+                            r.region,
+                            r.cluster_size,
+                            r.clustering_messages,
+                            r.bounding_messages,
+                            r.reused,
+                        )
+                    })
+                })
+                .collect::<Vec<_>>()
+        };
+        let a = run();
+        assert!(
+            a.iter().any(|r| matches!(
+                r,
+                Err(RequestError::Cluster(ClusterError::PeerUnreachable { .. }))
+            )),
+            "loss never exhausted a clustering fetch"
+        );
+        assert_eq!(a, run(), "lossy replay diverged");
+    }
+
+    #[test]
     fn checkpoint_resume_carries_unmoved_clusters() {
         let s = small_system();
         let hosts = s.host_sequence(40, 13);
