@@ -8,7 +8,10 @@
 //! cover the host anyway, so this anchor reveals nothing beyond the final
 //! region itself.
 
-use crate::protocol::{progressive_upper_bound, BoundingError, BoundingRun, IncrementPolicy};
+use crate::protocol::{
+    progressive_upper_bound_with, BoundingError, BoundingRun, IncrementPolicy, LocalValues,
+    VerifyTransport,
+};
 use nela_geo::{Point, Rect};
 
 /// The four directional runs and the assembled region.
@@ -25,33 +28,79 @@ pub struct BboxOutcome {
     pub runs: [BoundingRun; 4],
 }
 
-/// Runs secure bounding in all four directions over the cluster members'
-/// `points`, anchored at the host's own position, and assembles the cloaked
-/// rectangle. `policy_factory` builds a fresh increment policy per direction
-/// (policies may carry per-run state).
+/// One of the four directional runs a cloaked rectangle is assembled from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Direction {
+    /// Upper bound on `x`.
+    XHigh,
+    /// Lower bound on `x` (an upper bound on `-x`).
+    XLow,
+    /// Upper bound on `y`.
+    YHigh,
+    /// Lower bound on `y` (an upper bound on `-y`).
+    YLow,
+}
+
+impl Direction {
+    /// The private value a member at `p` answers for in this run: its
+    /// coordinate, negated for the low runs.
+    pub fn value(self, p: Point) -> f64 {
+        match self {
+            Direction::XHigh => p.x,
+            Direction::XLow => -p.x,
+            Direction::YHigh => p.y,
+            Direction::YLow => -p.y,
+        }
+    }
+
+    /// The public lower end of this run's value domain.
+    fn domain_min(self, domain: Rect) -> f64 {
+        match self {
+            Direction::XHigh => domain.min_x,
+            Direction::XLow => -domain.max_x,
+            Direction::YHigh => domain.min_y,
+            Direction::YLow => -domain.max_y,
+        }
+    }
+}
+
+/// One directional run, handed a transport that reaches every member.
+pub type DirectionalRun<'r> =
+    dyn FnMut(&mut dyn VerifyTransport) -> Result<BoundingRun, BoundingError> + 'r;
+
+/// The four-direction assembly: runs secure bounding in the `x`-high,
+/// `x`-low, `y`-high and `y`-low directions, each anchored at the host's own
+/// value in that direction with a fresh policy from `policy_factory`
+/// (policies may carry per-run state), then clips the bounds to `domain`
+/// and sums messages and rounds.
+///
+/// `reach(direction, run)` decides how a run reaches the participants: it
+/// must call `run` once with a transport over every member's
+/// [`Direction::value`] — a local array for [`secure_bounding_box`], one RPC
+/// per question over a simulated radio in `nela-netsim`.
 ///
 /// # Errors
-/// [`BoundingError::EmptyCluster`] on an empty member list, plus any failure
-/// of the four directional runs — a malformed cluster degrades the single
-/// request instead of aborting the process.
-pub fn secure_bounding_box(
-    points: &[Point],
+/// [`BoundingError::EmptyCluster`] when the transport has no participants,
+/// plus any failure of the four directional runs (unreachable participant,
+/// misbehaving policy).
+pub fn bounding_box_with(
     host: Point,
     domain: Rect,
     mut policy_factory: impl FnMut() -> Box<dyn IncrementPolicy>,
+    mut reach: impl FnMut(Direction, &mut DirectionalRun<'_>) -> Result<BoundingRun, BoundingError>,
 ) -> Result<BboxOutcome, BoundingError> {
-    if points.is_empty() {
-        return Err(BoundingError::EmptyCluster);
-    }
-    let xs: Vec<f64> = points.iter().map(|p| p.x).collect();
-    let ys: Vec<f64> = points.iter().map(|p| p.y).collect();
-    let neg_xs: Vec<f64> = xs.iter().map(|v| -v).collect();
-    let neg_ys: Vec<f64> = ys.iter().map(|v| -v).collect();
-
-    let x_hi = progressive_upper_bound(&xs, host.x, domain.min_x, &mut *policy_factory())?;
-    let x_lo = progressive_upper_bound(&neg_xs, -host.x, -domain.max_x, &mut *policy_factory())?;
-    let y_hi = progressive_upper_bound(&ys, host.y, domain.min_y, &mut *policy_factory())?;
-    let y_lo = progressive_upper_bound(&neg_ys, -host.y, -domain.max_y, &mut *policy_factory())?;
+    let mut bound = |direction: Direction| {
+        let x0 = direction.value(host);
+        let domain_min = direction.domain_min(domain);
+        let mut policy = policy_factory();
+        reach(direction, &mut |transport| {
+            progressive_upper_bound_with(transport, x0, domain_min, policy.as_mut())
+        })
+    };
+    let x_hi = bound(Direction::XHigh)?;
+    let x_lo = bound(Direction::XLow)?;
+    let y_hi = bound(Direction::YHigh)?;
+    let y_lo = bound(Direction::YLow)?;
 
     let rect = Rect::new(
         (-x_lo.bound).clamp(domain.min_x, domain.max_x),
@@ -66,6 +115,28 @@ pub fn secure_bounding_box(
         messages,
         rounds,
         runs: [x_hi, x_lo, y_hi, y_lo],
+    })
+}
+
+/// Runs secure bounding in all four directions over the cluster members'
+/// `points`, anchored at the host's own position, and assembles the cloaked
+/// rectangle ([`bounding_box_with`] over in-memory values).
+///
+/// # Errors
+/// [`BoundingError::EmptyCluster`] on an empty member list, plus any failure
+/// of the four directional runs — a malformed cluster degrades the single
+/// request instead of aborting the process.
+pub fn secure_bounding_box(
+    points: &[Point],
+    host: Point,
+    domain: Rect,
+    policy_factory: impl FnMut() -> Box<dyn IncrementPolicy>,
+) -> Result<BboxOutcome, BoundingError> {
+    let mut values = Vec::with_capacity(points.len());
+    bounding_box_with(host, domain, policy_factory, |direction, run| {
+        values.clear();
+        values.extend(points.iter().map(|&p| direction.value(p)));
+        run(&mut LocalValues::new(&values))
     })
 }
 

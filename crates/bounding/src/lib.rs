@@ -44,7 +44,7 @@ pub mod unary;
 
 pub use adversary::{CrashingValues, LieMode, LyingValues};
 pub use baselines::{optimal_bound, ExponentialPolicy, LinearPolicy};
-pub use bbox::{secure_bounding_box, BboxOutcome};
+pub use bbox::{bounding_box_with, secure_bounding_box, BboxOutcome, Direction};
 pub use cost::{AreaCost, CostParams, LengthCost, RequestCost};
 pub use distribution::{ExcessDistribution, Exponential, Uniform};
 pub use nbound::{exact_dp_increment, n_bounding_increment, SecurePolicy};

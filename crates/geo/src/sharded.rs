@@ -1,10 +1,10 @@
 //! Region-sharded mutable grid with per-shard dirty queues.
 //!
-//! [`crate::DynamicGrid`] absorbs single relocations in O(bucket), but its
-//! per-cell `Vec` buckets scatter every δ-range scan across the heap, and a
-//! mobility tick that moves half the population touches every bucket anyway.
-//! [`ShardedDynamicGrid`] is the batch-oriented replacement behind
-//! `nela_wpg::IncrementalWpg`:
+//! [`crate::GridIndex`] is a build-once CSR structure, optimal for the
+//! paper's static snapshot model. Continuous cloaking under mobility instead
+//! needs an index that absorbs a stream of position updates without paying a
+//! full O(n) rebuild per tick. [`ShardedDynamicGrid`] is that index, the one
+//! behind `nela_wpg::IncrementalWpg`:
 //!
 //! - The cell geometry is identical to [`GridIndex`] (cell side ≥ δ, per-axis
 //!   count clamped to 1..4096), and the grid is split into **shards**: bands
@@ -35,11 +35,39 @@
 //! **bit-identical** to `GridIndex::build` over the same positions — pinned
 //! by the tests below.
 
-use crate::dynamic::GridError;
 use crate::grid::GridIndex;
 use crate::point::Point;
 use crate::soa::{dist_sq_block, PointsSoA, KERNEL_BLOCK};
 use crate::UserId;
+
+/// Error from mutable-grid operations handed an id outside the indexed
+/// population. The population is fixed at build time, so any id ≥ n is a
+/// caller bug or untrusted input — the fallible `try_*` APIs surface it as
+/// this typed error instead of an index panic.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum GridError {
+    /// `id` is not part of the indexed population of `population` points.
+    UnknownId { id: UserId, population: usize },
+}
+
+impl GridError {
+    #[inline]
+    fn unknown(id: UserId, population: usize) -> Self {
+        GridError::UnknownId { id, population }
+    }
+}
+
+impl std::fmt::Display for GridError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            GridError::UnknownId { id, population } => {
+                write!(f, "user id {id} outside indexed population of {population}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for GridError {}
 
 /// Default number of row-band shards (clamped to the number of cell rows).
 pub const DEFAULT_SHARDS: usize = 16;

@@ -9,7 +9,7 @@
 //!   a stationary share) stepping the population tick by tick, reproducible
 //!   per seed exactly like `nela_geo::dataset`;
 //! - [`world`] — [`MobileWorld`], which folds each tick's moves into a
-//!   [`nela_geo::DynamicGrid`] and an incrementally maintained
+//!   [`nela_geo::ShardedDynamicGrid`] and an incrementally maintained
 //!   [`nela_wpg::IncrementalWpg`] with an exact-equivalence guarantee
 //!   against a from-scratch build;
 //! - [`lifetime`] — cluster lifetime management: registered clusters whose

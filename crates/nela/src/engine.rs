@@ -13,25 +13,32 @@
 //!    registered.
 //! 3. Phase 2 (secure bounding, workflow arrow ­) computes the cloaked
 //!    rectangle under the configured [`BoundingAlgo`].
+//!
+//! Two request loops share the phases. The serial [`CloakingEngine::request`]
+//! serves every algorithm over a plain [`ClusterRegistry`]; an
+//! [`EngineSession`] serves the distributed algorithm from any number of
+//! threads over a [`ShardedRegistry`], in process or over a simulated
+//! network. Both end in the same phase-2 routine, and both transports differ
+//! only in the [`PeerFetch`](nela_cluster::fetch::PeerFetch) and
+//! [`VerifyTransport`](nela_bounding::protocol::VerifyTransport) the
+//! protocols run over.
 
 use crate::params::Params;
 use crate::system::System;
 use nela_bounding::baselines::{ExponentialPolicy, LinearPolicy};
-use nela_bounding::bbox::{secure_bounding_box, BboxOutcome};
+use nela_bounding::bbox::{bounding_box_with, BboxOutcome};
 use nela_bounding::cost::AreaCost;
 use nela_bounding::distribution::Uniform;
 use nela_bounding::nbound::SecurePolicy;
-use nela_bounding::protocol::{BoundingError, IncrementPolicy};
+use nela_bounding::protocol::{BoundingError, IncrementPolicy, LocalValues};
 use nela_cluster::centralized::centralized_k_clustering;
-use nela_cluster::distributed::{
-    distributed_k_clustering_policy, distributed_k_clustering_with_policy,
-};
+use nela_cluster::distributed::{distributed_k_clustering_with_policy, DistributedOutcome};
+use nela_cluster::fetch::LocalFetch;
 use nela_cluster::knn::{knn_cluster, TieBreak};
 use nela_cluster::registry::{ClaimOutcome, ClusterId, ClusterRegistry, ShardedRegistry};
 use nela_cluster::{ClusterError, KPolicy};
 use nela_geo::{Point, Rect, UserId};
-use nela_netsim::{sim_bounding_box, ConfigError, Network, NetworkConfig, NetworkStats, SimFetch};
-use parking_lot::Mutex;
+use nela_netsim::{ConfigError, Network, NetworkConfig, NetworkStats, SimFetch, SimVerify};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -105,7 +112,7 @@ impl std::error::Error for RequestError {
     }
 }
 
-/// Attempts per host before [`CloakingEngine::request_many`] reports
+/// Attempts per host before a session request reports
 /// [`RequestError::Contention`]; mirrors the retry budget of
 /// `nela-netsim`'s `ConcurrentWorkload`.
 const MAX_CONCURRENT_ATTEMPTS: u32 = 16;
@@ -191,51 +198,30 @@ pub struct CloakingEngine<'a> {
     /// exact.
     carried_messages: u64,
     /// kNN mode only: users consumed by earlier groups (the kNN baseline
-    /// has no shared registry — each request forms a fresh group).
+    /// has no shared registry — each request forms a fresh group). Sized on
+    /// the first kNN request.
     knn_taken: Vec<bool>,
     /// Personalized per-user anonymity levels (`k_of[u]` is user u's
     /// `k_i`); `None` serves everyone at the uniform `Params::k`.
     k_of: Option<Vec<usize>>,
-    /// Reused buffer for member coordinates on the serial bounding path —
-    /// once warm, a cold (non-reuse) request gathers points without
-    /// touching the heap.
-    bound_scratch: Vec<Point>,
-}
-
-/// Per-worker scratch reused across requests on the sharded serving path:
-/// the reuse fast path fills `members` in place instead of cloning the
-/// member list, and the bounding path gathers `member_points` into a reused
-/// buffer — so a warmed worker serves region-reuse requests with zero heap
-/// allocations (the alloc-guard test pins this).
-#[derive(Default)]
-struct RequestScratch {
-    members: Vec<UserId>,
-    member_points: Vec<Point>,
 }
 
 thread_local! {
-    /// One scratch per serving thread. [`EngineSession::request`] takes
-    /// `&self` from arbitrary caller threads, so the scratch cannot live in
-    /// the session (or engine) without a lock — thread-local storage gives
-    /// each worker its own warm buffers for free.
-    static REQUEST_SCRATCH: std::cell::RefCell<RequestScratch> =
-        std::cell::RefCell::new(RequestScratch::default());
+    /// One member-list scratch per serving thread: the session's reuse fast
+    /// path fills it in place ([`ShardedRegistry::lookup_into`]) instead of
+    /// cloning the member list, so a warmed worker serves region-reuse
+    /// requests with zero heap allocations (the alloc-guard test pins
+    /// this). [`EngineSession::request`] takes `&self` from arbitrary caller
+    /// threads, so the scratch cannot live in the session without a lock.
+    static REQUEST_MEMBERS: std::cell::RefCell<Vec<UserId>> =
+        const { std::cell::RefCell::new(Vec::new()) };
 }
 
 impl<'a> CloakingEngine<'a> {
     /// Creates an engine with empty shared state.
     pub fn new(system: &'a System, clustering: ClusteringAlgo, bounding: BoundingAlgo) -> Self {
-        CloakingEngine {
-            system,
-            clustering,
-            bounding,
-            registry: ClusterRegistry::new(system.points.len()),
-            centralized_built: false,
-            carried_messages: 0,
-            knn_taken: vec![false; system.points.len()],
-            k_of: None,
-            bound_scratch: Vec::new(),
-        }
+        let registry = ClusterRegistry::new(system.points.len());
+        Self::with_registry(system, clustering, bounding, registry)
     }
 
     /// Creates an engine that continues serving over an existing registry —
@@ -258,6 +244,16 @@ impl<'a> CloakingEngine<'a> {
             system.points.len(),
             "registry population does not match system"
         );
+        Self::over(system, clustering, bounding, registry)
+    }
+
+    /// [`CloakingEngine::with_registry`] without the population check.
+    fn over(
+        system: &'a System,
+        clustering: ClusteringAlgo,
+        bounding: BoundingAlgo,
+        registry: ClusterRegistry,
+    ) -> Self {
         CloakingEngine {
             system,
             clustering,
@@ -265,9 +261,8 @@ impl<'a> CloakingEngine<'a> {
             registry,
             centralized_built: false,
             carried_messages: 0,
-            knn_taken: vec![false; system.points.len()],
+            knn_taken: Vec::new(),
             k_of: None,
-            bound_scratch: Vec::new(),
         }
     }
 
@@ -304,11 +299,6 @@ impl<'a> CloakingEngine<'a> {
             Some(ks) => KPolicy::PerUser(ks),
             None => KPolicy::Uniform(self.system.params.k),
         }
-    }
-
-    /// The requirement a cluster with these members had to meet.
-    fn required_k_of(&self, members: &[UserId]) -> usize {
-        self.kp().required(members.iter().copied())
     }
 
     /// Read access to the shared registry (audits, tests).
@@ -354,17 +344,7 @@ impl<'a> CloakingEngine<'a> {
         let (host_cluster_id, clustering_messages) = match self.clustering {
             ClusteringAlgo::TConnDistributed => {
                 let removed = |u: UserId| self.registry.is_clustered(u);
-                let cluster_span = nela_obs::span(nela_obs::stage::CLUSTERING);
-                let outcome =
-                    distributed_k_clustering_policy(&self.system.wpg, host, self.kp(), &removed);
-                drop(cluster_span);
-                let out = outcome?;
-                // Check coverage before registering anything: a partition
-                // that misses the host must fail the request, not poison
-                // the registry (and must never panic the engine).
-                if !out.all_clusters.iter().any(|c| c.contains(host)) {
-                    return Err(RequestError::HostNotClustered);
-                }
+                let out = self.phase1(host, &removed, None)?;
                 let mut host_id = None;
                 for c in out.all_clusters {
                     let contains_host = c.contains(host);
@@ -376,22 +356,13 @@ impl<'a> CloakingEngine<'a> {
                 let host_id = host_id.ok_or(RequestError::HostNotClustered)?;
                 (host_id, out.involved_users as u64)
             }
-            ClusteringAlgo::TConnCentralized => {
-                let setup = self.ensure_centralized_built() + self.carried_messages;
+            ClusteringAlgo::TConnCentralized | ClusteringAlgo::HilbAsr => {
+                let setup = self.ensure_global_built() + self.carried_messages;
                 self.carried_messages = 0;
                 let Some(id) = self.registry.cluster_id_of(host) else {
-                    // Host sits in an underfilled component; carry the setup
-                    // cost (if any) to the next served request.
-                    self.carried_messages = setup;
-                    return Err(ClusterError::ComponentTooSmall { reachable: 0 }.into());
-                };
-                (id, setup)
-            }
-            ClusteringAlgo::HilbAsr => {
-                let setup = self.ensure_hilb_asr_built() + self.carried_messages;
-                self.carried_messages = 0;
-                let Some(id) = self.registry.cluster_id_of(host) else {
-                    // Only possible when the population is below k.
+                    // Host sits in an underfilled component (for hilbASR:
+                    // the population is below k); carry the setup cost (if
+                    // any) to the next served request.
                     self.carried_messages = setup;
                     return Err(ClusterError::ComponentTooSmall { reachable: 0 }.into());
                 };
@@ -435,65 +406,15 @@ impl<'a> CloakingEngine<'a> {
         self.request_many_sharded(hosts, threads, axis)
     }
 
-    /// The pre-sharding batch path, kept as the measured baseline: one
-    /// global mutex around the whole registry, every attempt snapshotting
-    /// the O(n) membership table under the lock. Semantically equivalent to
-    /// [`CloakingEngine::request_many`]; only its scaling differs (the
-    /// snapshot copy serializes workers on large populations). Exercised by
-    /// the differential tests in `tests/parallel.rs` and benchmarked
-    /// against the sharded path by `exp_parallel`.
-    pub fn request_many_locked(
-        &mut self,
-        hosts: &[UserId],
-        threads: usize,
-    ) -> Vec<Result<CloakingResult, RequestError>> {
-        let threads = nela_par::effective_threads(threads, hosts.len());
-        if threads <= 1 || self.clustering != ClusteringAlgo::TConnDistributed {
-            return hosts.iter().map(|&h| self.request(h)).collect();
-        }
-        // Move the registry behind a lock for the scope of the batch; the
-        // placeholder is never observed (workers only use the mutex).
-        let registry = Mutex::new(std::mem::replace(
-            &mut self.registry,
-            ClusterRegistry::new(0),
-        ));
-        let this: &CloakingEngine<'a> = self;
-        let results: Vec<Option<Result<CloakingResult, RequestError>>> = {
-            let mut slots: Vec<Option<Result<CloakingResult, RequestError>>> =
-                vec![None; hosts.len()];
-            std::thread::scope(|scope| {
-                let registry = &registry;
-                let ranges = nela_par::chunk_ranges(hosts.len(), threads);
-                let mut rest = slots.as_mut_slice();
-                for range in ranges {
-                    let (chunk, tail) = rest.split_at_mut(range.len());
-                    rest = tail;
-                    scope.spawn(move || {
-                        for (&host, slot) in hosts[range].iter().zip(chunk.iter_mut()) {
-                            let r = this.serve_concurrent(registry, host);
-                            record_outcome(&r);
-                            *slot = Some(r);
-                        }
-                    });
-                }
-            });
-            slots
-        };
-        self.registry = registry.into_inner();
-        results
-            .into_iter()
-            .map(|r| r.unwrap_or(Err(RequestError::SlotUnfilled)))
-            .collect()
-    }
-
-    /// Serves a batch over a [`ShardedRegistry`] with `shards_per_axis`²
-    /// grid shards: membership checks are lock-free atomic reads, and a
-    /// claim locks only the shards hosting the produced clusters' members
-    /// (in ascending shard order, so rival claims cannot deadlock). With
-    /// one worker the machinery still runs but is deterministic — the
-    /// results equal the serial `request` loop for any shard count, which
-    /// the equivalence tests pin. Falls back to the serial loop for
-    /// non-distributed algorithms, whose setup is inherently global.
+    /// Serves a batch through an [`EngineSession`] with `shards_per_axis`²
+    /// grid shards: the batch opens a session over this engine's registry,
+    /// `threads` scoped workers each serve a contiguous chunk of `hosts`
+    /// through [`EngineSession::request`], and the session's claims fold
+    /// back into the registry at the end. With one worker the session is
+    /// deterministic — the results equal the serial `request` loop for any
+    /// shard count, which the equivalence tests pin. Falls back to the
+    /// serial loop for non-distributed algorithms, whose setup is
+    /// inherently global.
     pub fn request_many_sharded(
         &mut self,
         hosts: &[UserId],
@@ -503,378 +424,62 @@ impl<'a> CloakingEngine<'a> {
         if self.clustering != ClusteringAlgo::TConnDistributed {
             return hosts.iter().map(|&h| self.request(h)).collect();
         }
-        let workers = nela_par::effective_threads(threads.max(1), hosts.len()).max(1);
-        let base = std::mem::replace(&mut self.registry, ClusterRegistry::new(0));
-        let sharded = ShardedRegistry::new(base, &self.system.points, shards_per_axis);
-        let this: &CloakingEngine<'a> = self;
-        let mut slots: Vec<Option<Result<CloakingResult, RequestError>>> = vec![None; hosts.len()];
-        if workers <= 1 {
-            for (&host, slot) in hosts.iter().zip(slots.iter_mut()) {
-                let r = this.serve_sharded(&sharded, host);
-                record_outcome(&r);
-                *slot = Some(r);
+        let workers = nela_par::effective_threads(threads, hosts.len());
+        let stand_in = Self::over(
+            self.system,
+            self.clustering,
+            self.bounding,
+            ClusterRegistry::new(0),
+        );
+        let session = std::mem::replace(self, stand_in).into_session(shards_per_axis);
+        let mut results = vec![Err(RequestError::SlotUnfilled); hosts.len()];
+        nela_par::for_each_chunk_mut(workers, &mut results, |lo, chunk| {
+            for (slot, &host) in chunk.iter_mut().zip(&hosts[lo..]) {
+                *slot = session.request(host);
             }
-        } else {
-            std::thread::scope(|scope| {
-                let sharded = &sharded;
-                let ranges = nela_par::chunk_ranges(hosts.len(), workers);
-                let mut rest = slots.as_mut_slice();
-                for range in ranges {
-                    let (chunk, tail) = rest.split_at_mut(range.len());
-                    rest = tail;
-                    scope.spawn(move || {
-                        for (&host, slot) in hosts[range].iter().zip(chunk.iter_mut()) {
-                            let r = this.serve_sharded(sharded, host);
-                            record_outcome(&r);
-                            *slot = Some(r);
-                        }
-                    });
-                }
-            });
-        }
-        self.registry = sharded.into_registry();
-        slots
-            .into_iter()
-            .map(|r| r.unwrap_or(Err(RequestError::SlotUnfilled)))
-            .collect()
-    }
-
-    /// One optimistic request against the sharded registry. Reuse and
-    /// removed-membership checks are lock-free atomic reads; clustering and
-    /// bounding run with no locks held; only the claim itself takes the
-    /// (few) shard locks the produced clusters touch.
-    fn serve_sharded(
-        &self,
-        sharded: &ShardedRegistry,
-        host: UserId,
-    ) -> Result<CloakingResult, RequestError> {
-        REQUEST_SCRATCH.with(|scratch| {
-            let mut scratch = scratch.borrow_mut();
-            self.serve_sharded_with(sharded, host, &mut scratch)
-        })
-    }
-
-    /// [`CloakingEngine::serve_sharded`] with the worker's scratch threaded
-    /// in explicitly, so the steady-state paths never allocate.
-    fn serve_sharded_with(
-        &self,
-        sharded: &ShardedRegistry,
-        host: UserId,
-        scratch: &mut RequestScratch,
-    ) -> Result<CloakingResult, RequestError> {
-        let RequestScratch {
-            members,
-            member_points,
-        } = scratch;
-        for _attempt in 1..=MAX_CONCURRENT_ATTEMPTS {
-            // Reuse path: the host is already in a cluster (possibly
-            // claimed by a rival since the last attempt). `lookup_into`
-            // fills the reused scratch instead of cloning the member list.
-            if let Some((id, region)) = sharded.lookup_into(host, members) {
-                return self.finish_sharded(sharded, host, id, members, region, 0, member_points);
-            }
-            // Membership probes read the assignment atomics directly — one
-            // plain load each, against the locked path's O(n) snapshot copy
-            // per attempt. The view can go stale mid-computation, exactly
-            // like a snapshot can; safety never rests on it, because
-            // `try_claim` re-validates every member under the shard locks
-            // and reports a conflict. The host is force-read as present: a
-            // rival may claim it between the `lookup` above and the first
-            // probe, and the algorithm (correctly) asserts its host is
-            // never removed — the claim-time check catches that rival too.
-            let removed = |u: UserId| u != host && sharded.is_clustered(u);
-            let cluster_span = nela_obs::span(nela_obs::stage::CLUSTERING);
-            let outcome =
-                distributed_k_clustering_policy(&self.system.wpg, host, self.kp(), &removed);
-            drop(cluster_span);
-            let out = outcome?;
-            if !out.all_clusters.iter().any(|c| c.contains(host)) {
-                return Err(RequestError::HostNotClustered);
-            }
-            let claim_span = nela_obs::span(nela_obs::stage::REGISTRY_CLAIM);
-            let claim = sharded.try_claim(host, out.all_clusters);
-            drop(claim_span);
-            match claim {
-                ClaimOutcome::Claimed { id, members } => {
-                    return self.finish_sharded(
-                        sharded,
-                        host,
-                        id,
-                        &members,
-                        None,
-                        out.involved_users as u64,
-                        member_points,
-                    );
-                }
-                ClaimOutcome::Conflict => {
-                    // Rival won a member: recompute on the next attempt.
-                    nela_obs::add(nela_obs::counter::CLAIM_RETRIES, 1);
-                    continue;
-                }
-                ClaimOutcome::HostMissing => return Err(RequestError::HostNotClustered),
-            }
-        }
-        Err(RequestError::Contention {
-            attempts: MAX_CONCURRENT_ATTEMPTS,
-        })
-    }
-
-    /// Phase 2 for a sharded-path host whose cluster id is claimed: reuses
-    /// the stored region or bounds with no locks held, then publishes the
-    /// region (first writer wins — bounding is deterministic per cluster,
-    /// so rivals compute the identical rectangle).
-    #[allow(clippy::too_many_arguments)]
-    fn finish_sharded(
-        &self,
-        sharded: &ShardedRegistry,
-        host: UserId,
-        id: ClusterId,
-        members: &[UserId],
-        region: Option<Rect>,
-        clustering_messages: u64,
-        points_scratch: &mut Vec<Point>,
-    ) -> Result<CloakingResult, RequestError> {
-        let cluster_size = members.len();
-        let required_k = self.required_k_of(members);
-        if let Some(region) = region {
-            return Ok(CloakingResult {
-                host,
-                region,
-                cluster_size,
-                clustering_messages,
-                bounding_messages: 0,
-                bounding_rounds: 0,
-                required_k,
-                reused: clustering_messages == 0,
-                bounding_cpu: Duration::ZERO,
-            });
-        }
-        points_scratch.clear();
-        points_scratch.extend(members.iter().map(|&m| self.system.points[m as usize]));
-        let host_point = self.system.points[host as usize];
-        let started = Instant::now();
-        let bbox = self.bound(points_scratch, host_point, cluster_size)?;
-        let bounding_cpu = started.elapsed();
-        nela_obs::observe_duration(nela_obs::stage::BOUNDING, bounding_cpu);
-        sharded.set_region(id, bbox.rect);
-        Ok(CloakingResult {
-            host,
-            region: bbox.rect,
-            cluster_size,
-            clustering_messages,
-            bounding_messages: bbox.messages,
-            bounding_rounds: bbox.rounds,
-            required_k,
-            reused: false,
-            bounding_cpu,
-        })
-    }
-
-    /// One optimistic concurrent request against the locked registry
-    /// (distributed algorithm only). Never holds the lock across clustering
-    /// or bounding.
-    fn serve_concurrent(
-        &self,
-        registry: &Mutex<ClusterRegistry>,
-        host: UserId,
-    ) -> Result<CloakingResult, RequestError> {
-        let n = self.system.points.len();
-        for _attempt in 1..=MAX_CONCURRENT_ATTEMPTS {
-            // Snapshot the membership table (reuse path included).
-            type KnownCluster = Option<(ClusterId, Vec<UserId>, Option<Rect>)>;
-            let (known, snapshot): (KnownCluster, Vec<bool>) = {
-                let reg = registry.lock();
-                match reg.cluster_id_of(host) {
-                    Some(id) => {
-                        let rc = reg.get(id);
-                        (
-                            Some((id, rc.cluster.members.clone(), rc.region)),
-                            Vec::new(),
-                        )
-                    }
-                    None => (
-                        None,
-                        (0..n as UserId).map(|u| reg.is_clustered(u)).collect(),
-                    ),
-                }
-            };
-            if let Some((id, members, region)) = known {
-                return self.finish_concurrent(registry, host, id, &members, region, 0);
-            }
-            // Phase 1 outside the lock.
-            let removed = |u: UserId| snapshot[u as usize];
-            let cluster_span = nela_obs::span(nela_obs::stage::CLUSTERING);
-            let outcome =
-                distributed_k_clustering_policy(&self.system.wpg, host, self.kp(), &removed);
-            drop(cluster_span);
-            let out = outcome?;
-            // A partition that misses the host is a typed failure, not a
-            // retry (and must never be registered).
-            if !out.all_clusters.iter().any(|c| c.contains(host)) {
-                return Err(RequestError::HostNotClustered);
-            }
-            // Validate and claim atomically.
-            let claimed = {
-                let mut reg = registry.lock();
-                if let Some(id) = reg.cluster_id_of(host) {
-                    // A rival clustered us meanwhile: reuse its cluster.
-                    let rc = reg.get(id);
-                    Some((id, rc.cluster.members.clone(), rc.region))
-                } else if out
-                    .all_clusters
-                    .iter()
-                    .flat_map(|c| &c.members)
-                    .any(|&m| reg.is_clustered(m))
-                {
-                    None // a rival claimed one of our users: recompute
-                } else {
-                    let mut host_id = None;
-                    for c in out.all_clusters {
-                        let contains_host = c.contains(host);
-                        let members = c.members.clone();
-                        let id = reg.register(c);
-                        if contains_host {
-                            host_id = Some((id, members, None));
-                        }
-                    }
-                    host_id
-                }
-            };
-            if let Some((id, members, region)) = claimed {
-                return self.finish_concurrent(
-                    registry,
-                    host,
-                    id,
-                    &members,
-                    region,
-                    out.involved_users as u64,
-                );
-            }
-            nela_obs::add(nela_obs::counter::CLAIM_RETRIES, 1);
-        }
-        Err(RequestError::Contention {
-            attempts: MAX_CONCURRENT_ATTEMPTS,
-        })
-    }
-
-    /// Phase 2 for a concurrently served host whose cluster id is claimed:
-    /// reuses the stored region or bounds outside the lock, then publishes
-    /// the region (first writer wins — bounding is deterministic per
-    /// cluster, so rivals compute the identical rectangle).
-    fn finish_concurrent(
-        &self,
-        registry: &Mutex<ClusterRegistry>,
-        host: UserId,
-        id: ClusterId,
-        members: &[UserId],
-        region: Option<Rect>,
-        clustering_messages: u64,
-    ) -> Result<CloakingResult, RequestError> {
-        let cluster_size = members.len();
-        let required_k = self.required_k_of(members);
-        if let Some(region) = region {
-            return Ok(CloakingResult {
-                host,
-                region,
-                cluster_size,
-                clustering_messages,
-                bounding_messages: 0,
-                bounding_rounds: 0,
-                required_k,
-                reused: clustering_messages == 0,
-                bounding_cpu: Duration::ZERO,
-            });
-        }
-        let member_points: Vec<Point> = members
-            .iter()
-            .map(|&m| self.system.points[m as usize])
-            .collect();
-        let host_point = self.system.points[host as usize];
-        let started = Instant::now();
-        let bbox = self.bound(&member_points, host_point, cluster_size)?;
-        let bounding_cpu = started.elapsed();
-        nela_obs::observe_duration(nela_obs::stage::BOUNDING, bounding_cpu);
-        registry.lock().set_region(id, bbox.rect);
-        Ok(CloakingResult {
-            host,
-            region: bbox.rect,
-            cluster_size,
-            clustering_messages,
-            bounding_messages: bbox.messages,
-            bounding_rounds: bbox.rounds,
-            required_k,
-            reused: false,
-            bounding_cpu,
-        })
+        });
+        *self = session.finish();
+        results
     }
 
     /// Serves a kNN-baseline request: a fresh group of the host plus its
     /// k−1 nearest users not consumed by earlier groups, bounded
     /// immediately. Nothing is reused.
     fn request_knn(&mut self, host: UserId, tie: TieBreak) -> Result<CloakingResult, RequestError> {
+        self.knn_taken.resize(self.system.points.len(), false);
         let taken = &self.knn_taken;
         let removed = |u: UserId| u != host && taken[u as usize];
         let out = knn_cluster(&self.system.wpg, host, self.system.params.k, &removed, tie)?;
         for &m in &out.cluster.members {
             self.knn_taken[m as usize] = true;
         }
-        let members: Vec<Point> = out
-            .cluster
-            .members
-            .iter()
-            .map(|&m| self.system.points[m as usize])
-            .collect();
-        let host_point = self.system.points[host as usize];
-        let started = Instant::now();
-        let bbox = self.bound(&members, host_point, out.cluster.len())?;
-        let bounding_cpu = started.elapsed();
-        nela_obs::observe_duration(nela_obs::stage::BOUNDING, bounding_cpu);
-        Ok(CloakingResult {
-            host,
-            region: bbox.rect,
-            cluster_size: out.cluster.len(),
-            clustering_messages: out.involved_users as u64,
-            bounding_messages: bbox.messages,
-            bounding_rounds: bbox.rounds,
-            required_k: self.system.params.k,
-            reused: false,
-            bounding_cpu,
-        })
+        let clustering_messages = out.involved_users as u64;
+        self.phase2(host, &out.cluster.members, None, clustering_messages, None)
     }
 
-    /// Builds the global clustering on the first centralized request.
-    /// Returns the setup cost in messages (the whole population submits its
-    /// proximity information once), 0 on later calls.
-    fn ensure_centralized_built(&mut self) -> u64 {
+    /// Builds the global partition on the first centralized or hilbASR
+    /// request. Returns the setup cost in messages, 0 on later calls: the
+    /// whole population submits its proximity information (centralized) or
+    /// its exact coordinates (hilbASR — the position exposure is the point
+    /// of that baseline) once, one message each.
+    fn ensure_global_built(&mut self) -> u64 {
         if self.centralized_built {
             return 0;
         }
         self.centralized_built = true;
-        let global = centralized_k_clustering(&self.system.wpg, self.system.params.k);
-        for c in global.clusters {
+        let (points, k) = (&self.system.points, self.system.params.k);
+        let clusters = match self.clustering {
+            ClusteringAlgo::HilbAsr => nela_cluster::hilbert::hilb_asr_partition(points, k),
+            _ => centralized_k_clustering(&self.system.wpg, k).clusters,
+        };
+        for c in clusters {
             self.registry.register(c);
         }
-        self.system.points.len() as u64
+        points.len() as u64
     }
 
-    /// Builds the hilbASR bucketing on the first request: every user ships
-    /// its exact coordinates to the anonymizer (one message each). The
-    /// position exposure is the point of this baseline.
-    fn ensure_hilb_asr_built(&mut self) -> u64 {
-        if self.centralized_built {
-            return 0;
-        }
-        self.centralized_built = true;
-        for c in
-            nela_cluster::hilbert::hilb_asr_partition(&self.system.points, self.system.params.k)
-        {
-            self.registry.register(c);
-        }
-        self.system.points.len() as u64
-    }
-
-    /// Completes a request for a host whose cluster id is known: reuses the
-    /// stored region or runs phase 2 now.
+    /// Completes a serial request for a host whose cluster id is known, and
+    /// publishes the region if phase 2 had to bound it.
     fn serve_registered(
         &mut self,
         host: UserId,
@@ -882,9 +487,64 @@ impl<'a> CloakingEngine<'a> {
         clustering_messages: u64,
     ) -> Result<CloakingResult, RequestError> {
         let rc = self.registry.get(id);
-        let cluster_size = rc.cluster.len();
-        let required_k = self.required_k_of(&rc.cluster.members);
-        if let Some(region) = rc.region {
+        let stored = rc.region;
+        let result = self.phase2(host, &rc.cluster.members, stored, clustering_messages, None);
+        if let (None, Ok(r)) = (stored, &result) {
+            self.registry.set_region(id, r.region);
+        }
+        result
+    }
+
+    /// Phase 1 (Algorithm 2) for `host` over the remaining WPG — `removed`
+    /// marks users already clustered. Peer adjacency lists arrive over `net`
+    /// ([`SimFetch`]) when given and are read from the in-memory graph
+    /// otherwise. A partition that misses the host fails the request: it
+    /// must never be registered (and must never panic the engine).
+    fn phase1(
+        &self,
+        host: UserId,
+        removed: &dyn Fn(UserId) -> bool,
+        net: Option<&mut Network>,
+    ) -> Result<DistributedOutcome, RequestError> {
+        let wpg = &self.system.wpg;
+        let cluster_span = nela_obs::span(nela_obs::stage::CLUSTERING);
+        let outcome = match net {
+            None => distributed_k_clustering_with_policy(
+                &mut LocalFetch::new(wpg),
+                host,
+                self.kp(),
+                removed,
+            ),
+            Some(net) => distributed_k_clustering_with_policy(
+                &mut SimFetch::new(net, wpg, host),
+                host,
+                self.kp(),
+                removed,
+            ),
+        };
+        drop(cluster_span);
+        let out = outcome?;
+        if !out.all_clusters.iter().any(|c| c.contains(host)) {
+            return Err(RequestError::HostNotClustered);
+        }
+        Ok(out)
+    }
+
+    /// Phase 2, the routine every request path ends in: reuses `region` when
+    /// the host's cluster was already bounded, otherwise bounds `members`
+    /// now ([`CloakingEngine::bound`], over `net` when given). The caller
+    /// publishes a freshly bounded region to its registry.
+    fn phase2(
+        &self,
+        host: UserId,
+        members: &[UserId],
+        region: Option<Rect>,
+        clustering_messages: u64,
+        net: Option<&mut Network>,
+    ) -> Result<CloakingResult, RequestError> {
+        let cluster_size = members.len();
+        let required_k = self.kp().required(members.iter().copied());
+        if let Some(region) = region {
             return Ok(CloakingResult {
                 host,
                 region,
@@ -897,25 +557,10 @@ impl<'a> CloakingEngine<'a> {
                 bounding_cpu: Duration::ZERO,
             });
         }
-        // Take the engine's scratch so `self.bound(&members, ..)` can borrow
-        // `&self` while the buffer is out; `mem::take` keeps its capacity,
-        // so the gather is allocation-free once warm.
-        let mut members = std::mem::take(&mut self.bound_scratch);
-        members.clear();
-        members.extend(
-            rc.cluster
-                .members
-                .iter()
-                .map(|&m| self.system.points[m as usize]),
-        );
-        let host_point = self.system.points[host as usize];
         let started = Instant::now();
-        let bbox = self.bound(&members, host_point, cluster_size);
+        let bbox = self.bound(host, members, net)?;
         let bounding_cpu = started.elapsed();
-        self.bound_scratch = members;
-        let bbox = bbox?;
         nela_obs::observe_duration(nela_obs::stage::BOUNDING, bounding_cpu);
-        self.registry.set_region(id, bbox.rect);
         Ok(CloakingResult {
             host,
             region: bbox.rect,
@@ -929,273 +574,74 @@ impl<'a> CloakingEngine<'a> {
         })
     }
 
-    /// Runs phase 2 under the configured algorithm.
-    fn bound(
-        &self,
-        members: &[Point],
-        host_point: Point,
-        cluster_size: usize,
-    ) -> Result<BboxOutcome, BoundingError> {
-        let p: &Params = &self.system.params;
-        let span = p.uniform_span(cluster_size);
-        match self.bounding {
-            BoundingAlgo::Optimal => {
-                let rect = Rect::bounding(members).ok_or(BoundingError::EmptyCluster)?;
-                Ok(BboxOutcome {
-                    rect,
-                    messages: cluster_size as u64,
-                    rounds: 1,
-                    runs: optimal_runs(members, rect),
-                })
-            }
-            BoundingAlgo::Secure => {
-                // Per-dimension request-cost coefficient: a bound of extent x
-                // on each axis transfers ≈ Cr · n · x² message units.
-                let cr_1d = p.cr * p.n_users as f64;
-                secure_bounding_box(members, host_point, Rect::UNIT, || {
-                    Box::new(SecurePolicy::new(
-                        Uniform::new(span),
-                        AreaCost { cr: cr_1d },
-                        p.cb,
-                    )) as Box<dyn IncrementPolicy>
-                })
-            }
-            BoundingAlgo::Linear => secure_bounding_box(members, host_point, Rect::UNIT, || {
-                Box::new(LinearPolicy::new(span / 4.0)) as Box<dyn IncrementPolicy>
-            }),
-            BoundingAlgo::Exponential => {
-                secure_bounding_box(members, host_point, Rect::UNIT, || {
-                    Box::new(ExponentialPolicy::new(span)) as Box<dyn IncrementPolicy>
-                })
-            }
-        }
-    }
-
-    /// Phase 2 over the simulated network: the same four directional runs
-    /// and increment policies as [`CloakingEngine::bound`], but every
-    /// verification round-trips through [`Network::rpc`]
-    /// (`nela_netsim::sim_bounding_box`). Over a lossless network this is
-    /// bit-identical to the in-memory path; loss adds retransmissions and
-    /// can fail the request with [`BoundingError::Unreachable`].
+    /// Bounds a cluster under the configured [`BoundingAlgo`]: the four
+    /// directional runs of [`bounding_box_with`], where every verification
+    /// is one RPC over `net` ([`SimVerify`]; the host answers its own
+    /// questions) when given and a read of the member's coordinate
+    /// otherwise. Over a lossless network the two are bit-identical; loss
+    /// adds retransmissions and can fail the request with
+    /// [`BoundingError::Unreachable`].
     ///
     /// [`BoundingAlgo::Optimal`] has no per-round protocol to simulate (its
     /// single exact message is an analytic fiction), so it stays local.
-    fn bound_net(
+    fn bound(
         &self,
-        net: &mut Network,
         host: UserId,
-        members: &[(UserId, Point)],
-        host_point: Point,
-        cluster_size: usize,
+        members: &[UserId],
+        net: Option<&mut Network>,
     ) -> Result<BboxOutcome, BoundingError> {
-        let p: &Params = &self.system.params;
-        let span = p.uniform_span(cluster_size);
-        match self.bounding {
+        let points = &self.system.points;
+        let policy: fn(&Params, f64) -> Box<dyn IncrementPolicy> = match self.bounding {
             BoundingAlgo::Optimal => {
-                let points: Vec<Point> = members.iter().map(|&(_, pt)| pt).collect();
-                let rect = Rect::bounding(&points).ok_or(BoundingError::EmptyCluster)?;
-                Ok(BboxOutcome {
+                let member_points: Vec<Point> =
+                    members.iter().map(|&m| points[m as usize]).collect();
+                let rect = Rect::bounding(&member_points).ok_or(BoundingError::EmptyCluster)?;
+                return Ok(BboxOutcome {
                     rect,
-                    messages: cluster_size as u64,
+                    messages: members.len() as u64,
                     rounds: 1,
-                    runs: optimal_runs(&points, rect),
-                })
+                    runs: optimal_runs(members.len(), rect),
+                });
             }
-            BoundingAlgo::Secure => {
+            // Per-dimension request-cost coefficient: a bound of extent x
+            // on each axis transfers ≈ Cr · n · x² message units.
+            BoundingAlgo::Secure => |p, span| {
                 let cr_1d = p.cr * p.n_users as f64;
-                sim_bounding_box(net, host, host_point, members, Rect::UNIT, || {
-                    Box::new(SecurePolicy::new(
-                        Uniform::new(span),
-                        AreaCost { cr: cr_1d },
-                        p.cb,
-                    )) as Box<dyn IncrementPolicy>
-                })
-            }
-            BoundingAlgo::Linear => {
-                sim_bounding_box(net, host, host_point, members, Rect::UNIT, || {
-                    Box::new(LinearPolicy::new(span / 4.0)) as Box<dyn IncrementPolicy>
-                })
-            }
-            BoundingAlgo::Exponential => {
-                sim_bounding_box(net, host, host_point, members, Rect::UNIT, || {
-                    Box::new(ExponentialPolicy::new(span)) as Box<dyn IncrementPolicy>
-                })
-            }
-        }
-    }
-
-    /// One optimistic request against the sharded registry with both phases
-    /// carried by the simulated network: phase-1 adjacency fetches run over
-    /// [`SimFetch`] and phase-2 verifications over
-    /// [`nela_netsim::sim_bounding_box`]. The registry itself stays
-    /// in-process (it models state the host already holds), so the reuse
-    /// fast path never touches the radio.
-    ///
-    /// Each attempt gets a fresh [`Network`] seeded from `(config seed,
-    /// host)`, so RPC loss/latency outcomes are a pure function of the
-    /// request — independent of worker count and interleaving — and a
-    /// single-worker session replays bit-identically.
-    fn serve_sharded_net(
-        &self,
-        sharded: &ShardedRegistry,
-        host: UserId,
-        net_state: &NetState,
-        scratch: &mut RequestScratch,
-    ) -> Result<CloakingResult, RequestError> {
-        let members = &mut scratch.members;
-        let mut tally = NetworkStats::default();
-        let mut virtual_secs = 0.0f64;
-        let mut used_network = false;
-        let absorb = |tally: &mut NetworkStats, vs: &mut f64, net: &Network| {
-            let s = net.stats();
-            tally.transmissions += s.transmissions;
-            tally.rpcs_ok += s.rpcs_ok;
-            tally.rpcs_failed += s.rpcs_failed;
-            tally.lost += s.lost;
-            tally.retransmits += s.retransmits;
-            tally.timeouts += s.timeouts;
-            *vs += net.now();
+                Box::new(SecurePolicy::new(
+                    Uniform::new(span),
+                    AreaCost { cr: cr_1d },
+                    p.cb,
+                ))
+            },
+            BoundingAlgo::Linear => |_, span| Box::new(LinearPolicy::new(span / 4.0)),
+            BoundingAlgo::Exponential => |_, span| Box::new(ExponentialPolicy::new(span)),
         };
-        let mut outcome: Result<CloakingResult, RequestError> = Err(RequestError::Contention {
-            attempts: MAX_CONCURRENT_ATTEMPTS,
-        });
-        for _attempt in 1..=MAX_CONCURRENT_ATTEMPTS {
-            // Reuse path: the host's own registry entry, no radio involved.
-            if let Some((id, region)) = sharded.lookup_into(host, members) {
-                if region.is_some() {
-                    outcome = self.finish_sharded_net_reused(host, members, region);
-                    break;
-                }
-                // Cluster known but never bounded: phase 2 only.
-                let mut net = net_state.template.with_seed(mix_seed(net_state.seed, host));
-                used_network = true;
-                outcome = self.finish_sharded_net(sharded, host, id, members, 0, &mut net);
-                absorb(&mut tally, &mut virtual_secs, &net);
-                break;
+        let params = &self.system.params;
+        let span = params.uniform_span(members.len());
+        let policy = || policy(params, span);
+        let host_point = points[host as usize];
+        match net {
+            None => {
+                let mut values = Vec::with_capacity(members.len());
+                bounding_box_with(host_point, Rect::UNIT, policy, |direction, run| {
+                    values.clear();
+                    values.extend(members.iter().map(|&m| direction.value(points[m as usize])));
+                    run(&mut LocalValues::new(&values))
+                })
             }
-            let mut net = net_state.template.with_seed(mix_seed(net_state.seed, host));
-            used_network = true;
-            // Same lock-free removed-probe contract as `serve_sharded_with`.
-            let removed = |u: UserId| u != host && sharded.is_clustered(u);
-            let cluster_span = nela_obs::span(nela_obs::stage::CLUSTERING);
-            let clustered = {
-                let mut fetch = SimFetch::new(&mut net, &self.system.wpg, host);
-                distributed_k_clustering_with_policy(&mut fetch, host, self.kp(), &removed)
-            };
-            drop(cluster_span);
-            let out = match clustered {
-                Ok(out) => out,
-                Err(e) => {
-                    absorb(&mut tally, &mut virtual_secs, &net);
-                    outcome = Err(e.into());
-                    break;
-                }
-            };
-            if !out.all_clusters.iter().any(|c| c.contains(host)) {
-                absorb(&mut tally, &mut virtual_secs, &net);
-                outcome = Err(RequestError::HostNotClustered);
-                break;
-            }
-            let claim_span = nela_obs::span(nela_obs::stage::REGISTRY_CLAIM);
-            let claim = sharded.try_claim(host, out.all_clusters);
-            drop(claim_span);
-            match claim {
-                ClaimOutcome::Claimed {
-                    id,
-                    members: claimed,
-                } => {
-                    outcome = self.finish_sharded_net(
-                        sharded,
-                        host,
-                        id,
-                        &claimed,
-                        out.involved_users as u64,
-                        &mut net,
+            Some(net) => {
+                let mut values = Vec::with_capacity(members.len());
+                bounding_box_with(host_point, Rect::UNIT, policy, |direction, run| {
+                    values.clear();
+                    values.extend(
+                        members
+                            .iter()
+                            .map(|&m| (m, direction.value(points[m as usize]))),
                     );
-                    absorb(&mut tally, &mut virtual_secs, &net);
-                    break;
-                }
-                ClaimOutcome::Conflict => {
-                    absorb(&mut tally, &mut virtual_secs, &net);
-                    nela_obs::add(nela_obs::counter::CLAIM_RETRIES, 1);
-                    continue;
-                }
-                ClaimOutcome::HostMissing => {
-                    absorb(&mut tally, &mut virtual_secs, &net);
-                    outcome = Err(RequestError::HostNotClustered);
-                    break;
-                }
+                    run(&mut SimVerify::new(net, host, &values))
+                })
             }
         }
-        if used_network {
-            net_state.acc.absorb(&tally, virtual_secs);
-            nela_obs::observe(nela_obs::stage::NET_RETRANS_PER_REQ, tally.retransmits);
-            nela_obs::observe(nela_obs::stage::NET_TIMEOUTS_PER_REQ, tally.timeouts);
-            nela_obs::observe(
-                nela_obs::stage::NET_VIRTUAL_TIME,
-                (virtual_secs * 1e9) as u64,
-            );
-        }
-        outcome
-    }
-
-    /// The fully-reused outcome of a netsim request (both phases skipped).
-    fn finish_sharded_net_reused(
-        &self,
-        host: UserId,
-        members: &[UserId],
-        region: Option<Rect>,
-    ) -> Result<CloakingResult, RequestError> {
-        // invariant: callers pass `region = Some(..)` only; the Option is
-        // kept so the reuse branch reads like `finish_sharded`'s.
-        let region = region.ok_or(RequestError::HostNotClustered)?;
-        Ok(CloakingResult {
-            host,
-            region,
-            cluster_size: members.len(),
-            clustering_messages: 0,
-            bounding_messages: 0,
-            bounding_rounds: 0,
-            required_k: self.required_k_of(members),
-            reused: true,
-            bounding_cpu: Duration::ZERO,
-        })
-    }
-
-    /// Phase 2 over the network for a claimed cluster id, publishing the
-    /// region first-writer-wins exactly like [`CloakingEngine::finish_sharded`].
-    fn finish_sharded_net(
-        &self,
-        sharded: &ShardedRegistry,
-        host: UserId,
-        id: ClusterId,
-        members: &[UserId],
-        clustering_messages: u64,
-        net: &mut Network,
-    ) -> Result<CloakingResult, RequestError> {
-        let cluster_size = members.len();
-        let required_k = self.required_k_of(members);
-        let pairs: Vec<(UserId, Point)> = members
-            .iter()
-            .map(|&m| (m, self.system.points[m as usize]))
-            .collect();
-        let host_point = self.system.points[host as usize];
-        let started = Instant::now();
-        let bbox = self.bound_net(net, host, &pairs, host_point, cluster_size)?;
-        let bounding_cpu = started.elapsed();
-        nela_obs::observe_duration(nela_obs::stage::BOUNDING, bounding_cpu);
-        sharded.set_region(id, bbox.rect);
-        Ok(CloakingResult {
-            host,
-            region: bbox.rect,
-            cluster_size,
-            clustering_messages,
-            bounding_messages: bbox.messages,
-            bounding_rounds: bbox.rounds,
-            required_k,
-            reused: false,
-            bounding_cpu,
-        })
     }
 }
 
@@ -1213,15 +659,13 @@ fn mix_seed(seed: u64, host: UserId) -> u64 {
 /// engine glue for service front-ends (`nela-serve`) that admit requests one
 /// at a time from a worker pool instead of in pre-assembled batches.
 ///
-/// [`CloakingEngine::request_many_sharded`] owns the whole batch: it spawns
-/// the workers, partitions the hosts, and folds the registry back when the
-/// batch ends. A serving loop inverts that control flow — *its* workers pull
-/// requests off a queue for as long as the service runs — so the session
-/// exposes the same lock-free optimistic path ([`EngineSession::request`]
-/// takes `&self` and is safe to call from any number of threads) while the
-/// caller decides threading and lifetime. [`EngineSession::finish`] returns
-/// the engine with every cluster claimed during the session folded back into
-/// its registry.
+/// [`EngineSession::request`] takes `&self` and is safe to call from any
+/// number of threads: membership probes are lock-free atomic reads, both
+/// protocol phases run with no locks held, and only the claim itself takes
+/// the (few) shard locks the produced clusters touch. The caller decides
+/// threading and lifetime ([`CloakingEngine::request_many_sharded`] is one
+/// such caller); [`EngineSession::finish`] returns the engine with every
+/// cluster claimed during the session folded back into its registry.
 ///
 /// With one calling thread the session is exactly the serial `request` loop,
 /// result for result — the determinism contract the replay tests pin.
@@ -1244,10 +688,31 @@ struct NetState {
     acc: NetAccumulator,
 }
 
+/// Network activity of one request, summed over the networks its attempts
+/// ran on.
+#[derive(Default)]
+struct NetTally {
+    stats: NetworkStats,
+    virtual_secs: f64,
+}
+
+impl NetTally {
+    fn add(&mut self, net: &Network) {
+        let s = net.stats();
+        self.stats.transmissions += s.transmissions;
+        self.stats.rpcs_ok += s.rpcs_ok;
+        self.stats.rpcs_failed += s.rpcs_failed;
+        self.stats.lost += s.lost;
+        self.stats.retransmits += s.retransmits;
+        self.stats.timeouts += s.timeouts;
+        self.virtual_secs += net.now();
+    }
+}
+
 /// Lock-free tally of network activity across a whole session. Workers add
-/// their per-request [`NetworkStats`] here once per request; relaxed
-/// ordering suffices because the fields are independent monotone counters
-/// read only after the workers join.
+/// their per-request [`NetTally`] here once per request; relaxed ordering
+/// suffices because the fields are independent monotone counters read only
+/// after the workers join.
 #[derive(Default)]
 struct NetAccumulator {
     transmissions: AtomicU64,
@@ -1260,18 +725,22 @@ struct NetAccumulator {
 }
 
 impl NetAccumulator {
-    fn absorb(&self, tally: &NetworkStats, virtual_secs: f64) {
+    /// Adds one request's tally to the session totals and to the
+    /// `net.request.*` stage histograms.
+    fn absorb(&self, tally: &NetTally) {
+        let s = &tally.stats;
+        let virtual_ns = (tally.virtual_secs * 1e9) as u64;
         self.transmissions
-            .fetch_add(tally.transmissions, Ordering::Relaxed);
-        self.rpcs_ok.fetch_add(tally.rpcs_ok, Ordering::Relaxed);
-        self.rpcs_failed
-            .fetch_add(tally.rpcs_failed, Ordering::Relaxed);
-        self.lost.fetch_add(tally.lost, Ordering::Relaxed);
-        self.retransmits
-            .fetch_add(tally.retransmits, Ordering::Relaxed);
-        self.timeouts.fetch_add(tally.timeouts, Ordering::Relaxed);
-        self.virtual_ns
-            .fetch_add((virtual_secs * 1e9) as u64, Ordering::Relaxed);
+            .fetch_add(s.transmissions, Ordering::Relaxed);
+        self.rpcs_ok.fetch_add(s.rpcs_ok, Ordering::Relaxed);
+        self.rpcs_failed.fetch_add(s.rpcs_failed, Ordering::Relaxed);
+        self.lost.fetch_add(s.lost, Ordering::Relaxed);
+        self.retransmits.fetch_add(s.retransmits, Ordering::Relaxed);
+        self.timeouts.fetch_add(s.timeouts, Ordering::Relaxed);
+        self.virtual_ns.fetch_add(virtual_ns, Ordering::Relaxed);
+        nela_obs::observe(nela_obs::stage::NET_RETRANS_PER_REQ, s.retransmits);
+        nela_obs::observe(nela_obs::stage::NET_TIMEOUTS_PER_REQ, s.timeouts);
+        nela_obs::observe(nela_obs::stage::NET_VIRTUAL_TIME, virtual_ns);
     }
 
     fn snapshot(&self) -> SessionNetStats {
@@ -1345,10 +814,13 @@ impl<'a> EngineSession<'a> {
     /// loss, latency, and retry budget. Per-request RPC retransmit/timeout
     /// counts flow into the `net.request.*` stage histograms, and the
     /// session-wide totals are readable via [`EngineSession::net_stats`].
+    /// The registry itself stays in-process (it models state the host
+    /// already holds), so the reuse fast path never touches the radio.
     ///
-    /// Determinism: each request's network is seeded from `(cfg.seed,
-    /// host)`, so at a fixed config seed the outcome of every request is
-    /// independent of worker count and scheduling — replay-stable.
+    /// Determinism: each request attempt's network is seeded from
+    /// `(cfg.seed, host)`, so at a fixed config seed the outcome of every
+    /// request is independent of worker count and scheduling —
+    /// replay-stable.
     ///
     /// # Errors
     /// Rejects an invalid network config (same rules as
@@ -1381,16 +853,100 @@ impl<'a> EngineSession<'a> {
     /// members of every computed cluster, plus — on netsim-backed sessions
     /// — clustering/bounding failures caused by exhausted RPC retries.
     pub fn request(&self, host: UserId) -> Result<CloakingResult, RequestError> {
-        let result = match &self.net {
-            None => self.engine.serve_sharded(&self.sharded, host),
-            Some(net) => REQUEST_SCRATCH.with(|scratch| {
-                let mut scratch = scratch.borrow_mut();
-                self.engine
-                    .serve_sharded_net(&self.sharded, host, net, &mut scratch)
-            }),
-        };
+        let mut tally = None;
+        let result =
+            REQUEST_MEMBERS.with(|members| self.serve(host, &mut members.borrow_mut(), &mut tally));
+        if let (Some(net), Some(tally)) = (&self.net, &tally) {
+            net.acc.absorb(tally);
+        }
         record_outcome(&result);
         result
+    }
+
+    /// The optimistic retry/claim loop. Each attempt first checks the
+    /// host's registry entry: a bounded region is reused with no radio
+    /// involved. Otherwise the attempt runs on a fresh network seeded
+    /// [`mix_seed`]`(seed, host)` when the session has one, and its traffic
+    /// is added to `tally` (left `None` when no network was built).
+    fn serve(
+        &self,
+        host: UserId,
+        members: &mut Vec<UserId>,
+        tally: &mut Option<NetTally>,
+    ) -> Result<CloakingResult, RequestError> {
+        for _attempt in 1..=MAX_CONCURRENT_ATTEMPTS {
+            // The host may have been claimed by a rival since the last
+            // attempt. `lookup_into` fills the reused scratch instead of
+            // cloning the member list.
+            let known = self.sharded.lookup_into(host, members);
+            if let Some((_, Some(region))) = known {
+                return self.engine.phase2(host, members, Some(region), 0, None);
+            }
+            let mut net = self
+                .net
+                .as_ref()
+                .map(|n| n.template.with_seed(mix_seed(n.seed, host)));
+            let attempt = self.attempt(host, known.map(|(id, _)| id), members, net.as_mut());
+            if let Some(net) = &net {
+                tally.get_or_insert_with(NetTally::default).add(net);
+            }
+            match attempt.transpose() {
+                Some(result) => return result,
+                // A rival won a member: recompute on the next attempt.
+                None => nela_obs::add(nela_obs::counter::CLAIM_RETRIES, 1),
+            }
+        }
+        Err(RequestError::Contention {
+            attempts: MAX_CONCURRENT_ATTEMPTS,
+        })
+    }
+
+    /// One attempt for a host without a bounded region: phase 2 alone when
+    /// its cluster `claimed` already exists (with `members`), otherwise
+    /// phase 1, the claim and phase 2. Publishes the bounded region first
+    /// writer wins — bounding is deterministic per cluster, so rivals
+    /// compute the identical rectangle. `Ok(None)` when a rival claimed a
+    /// member of the computed clusters first.
+    fn attempt(
+        &self,
+        host: UserId,
+        claimed: Option<ClusterId>,
+        members: &[UserId],
+        mut net: Option<&mut Network>,
+    ) -> Result<Option<CloakingResult>, RequestError> {
+        let fresh: Vec<UserId>;
+        let (id, members, clustering_messages) = match claimed {
+            Some(id) => (id, members, 0),
+            None => {
+                // Membership probes read the assignment atomics directly —
+                // one plain load each. The view can go stale
+                // mid-computation; safety never rests on it, because
+                // `try_claim` re-validates every member under the shard
+                // locks and reports a conflict. The host is force-read as
+                // present: a rival may claim it between the lookup and the
+                // first probe, and the algorithm (correctly) asserts its
+                // host is never removed — the claim-time check catches that
+                // rival too.
+                let removed = |u: UserId| u != host && self.sharded.is_clustered(u);
+                let out = self.engine.phase1(host, &removed, net.as_deref_mut())?;
+                let claim_span = nela_obs::span(nela_obs::stage::REGISTRY_CLAIM);
+                let claim = self.sharded.try_claim(host, out.all_clusters);
+                drop(claim_span);
+                match claim {
+                    ClaimOutcome::Claimed { id, members } => {
+                        fresh = members;
+                        (id, fresh.as_slice(), out.involved_users as u64)
+                    }
+                    ClaimOutcome::Conflict => return Ok(None),
+                    ClaimOutcome::HostMissing => return Err(RequestError::HostNotClustered),
+                }
+            }
+        };
+        let result = self
+            .engine
+            .phase2(host, members, None, clustering_messages, net)?;
+        self.sharded.set_region(id, result.region);
+        Ok(Some(result))
     }
 
     /// Ends the session, folding all claimed clusters back into the
@@ -1515,9 +1071,8 @@ impl<'a> CloakingEngine<'a> {
 }
 
 /// Tallies one request outcome into the global obs counters. Called once
-/// per request: inside [`CloakingEngine::request`] for serial paths, and at
-/// the batch worker call sites for the concurrent paths (which bypass
-/// `request`).
+/// per request, by [`CloakingEngine::request`] and
+/// [`EngineSession::request`].
 fn record_outcome(result: &Result<CloakingResult, RequestError>) {
     if !nela_obs::enabled() {
         return;
@@ -1554,11 +1109,11 @@ pub fn shard_axis_for_total(shards: usize) -> usize {
 
 /// Degenerate per-direction runs for the optimal algorithm (kept so
 /// [`BboxOutcome`] stays uniform across algorithms).
-fn optimal_runs(members: &[Point], rect: Rect) -> [nela_bounding::protocol::BoundingRun; 4] {
+fn optimal_runs(members: usize, rect: Rect) -> [nela_bounding::protocol::BoundingRun; 4] {
     let one = |bound: f64| nela_bounding::protocol::BoundingRun {
         bound,
         rounds: 1,
-        messages: members.len() as u64 / 4, // OPT's single message covers all four directions
+        messages: members as u64 / 4, // OPT's single message covers all four directions
         records: Vec::new(),
         bounds: vec![bound],
     };

@@ -12,6 +12,7 @@
 //! (the default harness would interleave allocations from sibling tests).
 
 use nela::geo::UserId;
+use nela::netsim::NetworkConfig;
 use nela::{BoundingAlgo, CloakingEngine, ClusteringAlgo, Params, System};
 use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -121,5 +122,49 @@ fn warm_request_paths_do_not_allocate() {
         "warm EngineSession served {} requests with {session_allocs} allocations \
          (contract: zero per request)",
         steady.len()
+    );
+
+    // --- Netsim session: EngineSession::with_network ---------------------
+    // Region reuse never touches the radio, so a warm netsim session must
+    // serve it without building a network (or allocating anything else).
+    let session = CloakingEngine::new(
+        &system,
+        ClusteringAlgo::TConnDistributed,
+        BoundingAlgo::Secure,
+    )
+    .into_session(2)
+    .with_network(NetworkConfig {
+        loss: 0.05,
+        ..NetworkConfig::default()
+    })
+    .expect("valid network config");
+    // Loss can exhaust a request's retries; only hosts served during the
+    // warm-up have a published region to reuse.
+    let warm: Vec<UserId> = steady
+        .iter()
+        .copied()
+        .filter(|&h| session.request(h).is_ok())
+        .collect();
+    assert!(
+        warm.len() >= 50,
+        "need a meaningful warm netsim set, got {}",
+        warm.len()
+    );
+    let before = allocs();
+    let mut all_reused = true;
+    for &h in &warm {
+        match session.request(h) {
+            Ok(c) => all_reused &= c.reused,
+            Err(_) => all_reused = false,
+        }
+    }
+    let net_allocs = allocs() - before;
+    assert!(all_reused, "a warm netsim request missed the reuse path");
+    assert_eq!(
+        net_allocs,
+        0,
+        "warm netsim EngineSession served {} requests with {net_allocs} allocations \
+         (contract: zero per request)",
+        warm.len()
     );
 }

@@ -31,4 +31,4 @@ pub use concurrency::{ConcurrentWorkload, RequestResolution};
 pub use discovery::{edge_recall, run_discovery, DiscoveryConfig, DiscoveryStats};
 pub use event::EventQueue;
 pub use network::{ConfigError, LatencyModel, Network, NetworkConfig, NetworkStats, RpcError};
-pub use proto::{sim_bounding_box, SimFetch, SimVerify};
+pub use proto::{SimFetch, SimVerify};

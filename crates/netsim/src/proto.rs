@@ -8,12 +8,9 @@
 //! robustness scenarios of the paper's §VII.
 
 use crate::network::{Network, RpcError};
-use nela_bounding::bbox::BboxOutcome;
-use nela_bounding::protocol::{
-    progressive_upper_bound_with, BoundingError, IncrementPolicy, VerifyTransport,
-};
+use nela_bounding::protocol::VerifyTransport;
 use nela_cluster::fetch::PeerFetch;
-use nela_geo::{Point, Rect, UserId};
+use nela_geo::UserId;
 use nela_wpg::{Weight, Wpg};
 
 /// Adjacency fetch over the simulated network: each fetch is one RPC from
@@ -83,97 +80,42 @@ impl VerifyTransport for SimVerify<'_> {
     }
 }
 
-/// The netsim twin of `nela_bounding::bbox::secure_bounding_box`: four
-/// directional progressive bounding runs (`x`-high, `x`-low over negated
-/// coordinates, `y`-high, `y`-low) where every per-round verification is one
-/// [`Network::rpc`] from the host to the participant ([`SimVerify`]; the
-/// host answers its own questions for free). The assembly — anchors at the
-/// host's coordinates, domain clipping, message/round totals — matches the
-/// in-memory function exactly, so over a lossless network the two produce
-/// bit-identical regions while a lossy one adds retransmissions, timeouts
-/// and, past the retry budget, [`BoundingError::Unreachable`] failures.
-///
-/// # Errors
-/// [`BoundingError::EmptyCluster`] on an empty member list, plus any failure
-/// of the four directional runs (including unreachable participants).
-pub fn sim_bounding_box(
-    net: &mut Network,
-    host: UserId,
-    host_point: Point,
-    members: &[(UserId, Point)],
-    domain: Rect,
-    mut policy_factory: impl FnMut() -> Box<dyn IncrementPolicy>,
-) -> Result<BboxOutcome, BoundingError> {
-    if members.is_empty() {
-        return Err(BoundingError::EmptyCluster);
-    }
-    let run = |values: Vec<(UserId, f64)>,
-               x0: f64,
-               domain_min: f64,
-               net: &mut Network,
-               policy: &mut dyn IncrementPolicy| {
-        let mut transport = SimVerify::new(net, host, &values);
-        progressive_upper_bound_with(&mut transport, x0, domain_min, policy)
-    };
-    let vals = |f: fn(&Point) -> f64| -> Vec<(UserId, f64)> {
-        members.iter().map(|&(u, p)| (u, f(&p))).collect()
-    };
-    let x_hi = run(
-        vals(|p| p.x),
-        host_point.x,
-        domain.min_x,
-        net,
-        &mut *policy_factory(),
-    )?;
-    let x_lo = run(
-        vals(|p| -p.x),
-        -host_point.x,
-        -domain.max_x,
-        net,
-        &mut *policy_factory(),
-    )?;
-    let y_hi = run(
-        vals(|p| p.y),
-        host_point.y,
-        domain.min_y,
-        net,
-        &mut *policy_factory(),
-    )?;
-    let y_lo = run(
-        vals(|p| -p.y),
-        -host_point.y,
-        -domain.max_y,
-        net,
-        &mut *policy_factory(),
-    )?;
-    let rect = Rect::new(
-        (-x_lo.bound).clamp(domain.min_x, domain.max_x),
-        (-y_lo.bound).clamp(domain.min_y, domain.max_y),
-        x_hi.bound.clamp(domain.min_x, domain.max_x),
-        y_hi.bound.clamp(domain.min_y, domain.max_y),
-    );
-    let messages = x_hi.messages + x_lo.messages + y_hi.messages + y_lo.messages;
-    let rounds = x_hi.rounds + x_lo.rounds + y_hi.rounds + y_lo.rounds;
-    Ok(BboxOutcome {
-        rect,
-        messages,
-        rounds,
-        runs: [x_hi, x_lo, y_hi, y_lo],
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::network::NetworkConfig;
     use nela_bounding::baselines::LinearPolicy;
-    use nela_bounding::protocol::progressive_upper_bound_with;
+    use nela_bounding::bbox::{bounding_box_with, BboxOutcome};
+    use nela_bounding::protocol::{progressive_upper_bound_with, BoundingError};
     use nela_cluster::distributed::distributed_k_clustering_with;
     use nela_cluster::ClusterError;
+    use nela_geo::{Point, Rect};
     use nela_wpg::topology;
 
     fn no_removed(_: UserId) -> bool {
         false
+    }
+
+    /// The four-direction assembly with every directional run reaching the
+    /// members through [`SimVerify`] (the host answers its own questions).
+    fn bound_over_network(
+        net: &mut Network,
+        host: UserId,
+        host_point: Point,
+        members: &[(UserId, Point)],
+        step: f64,
+    ) -> Result<BboxOutcome, BoundingError> {
+        let mut values = Vec::new();
+        bounding_box_with(
+            host_point,
+            Rect::UNIT,
+            || Box::new(LinearPolicy::new(step)),
+            |direction, run| {
+                values.clear();
+                values.extend(members.iter().map(|&(u, p)| (u, direction.value(p))));
+                run(&mut SimVerify::new(net, host, &values))
+            },
+        )
     }
 
     #[test]
@@ -270,10 +212,7 @@ mod tests {
             })
             .unwrap();
         let mut net = Network::reliable();
-        let simulated = sim_bounding_box(&mut net, 3, host_point, &members, Rect::UNIT, || {
-            Box::new(LinearPolicy::new(0.01))
-        })
-        .unwrap();
+        let simulated = bound_over_network(&mut net, 3, host_point, &members, 0.01).unwrap();
         assert_eq!(analytic.rect, simulated.rect);
         assert_eq!(analytic.messages, simulated.messages);
         assert_eq!(analytic.rounds, simulated.rounds);
@@ -289,10 +228,7 @@ mod tests {
             vec![(3, Point::new(0.30, 0.40)), (7, Point::new(0.95, 0.42))];
         let mut net = Network::reliable();
         net.crash_peer(7);
-        let err = sim_bounding_box(&mut net, 3, members[0].1, &members, Rect::UNIT, || {
-            Box::new(LinearPolicy::new(0.05))
-        })
-        .unwrap_err();
+        let err = bound_over_network(&mut net, 3, members[0].1, &members, 0.05).unwrap_err();
         assert!(matches!(err, BoundingError::Unreachable { .. }));
         assert!(net.stats().rpcs_failed > 0);
     }
@@ -300,10 +236,7 @@ mod tests {
     #[test]
     fn sim_bounding_box_rejects_empty_cluster() {
         let mut net = Network::reliable();
-        let err = sim_bounding_box(&mut net, 3, Point::new(0.5, 0.5), &[], Rect::UNIT, || {
-            Box::new(LinearPolicy::new(0.05))
-        })
-        .unwrap_err();
+        let err = bound_over_network(&mut net, 3, Point::new(0.5, 0.5), &[], 0.05).unwrap_err();
         assert_eq!(err, BoundingError::EmptyCluster);
     }
 

@@ -102,7 +102,8 @@ impl Histogram {
         self.max.store(0, Ordering::Relaxed);
     }
 
-    /// The `q`-quantile at bucket resolution; see [`quantile_from_buckets`].
+    /// The `q`-quantile at bucket resolution: the upper bound of the bucket
+    /// holding the target rank, clamped to the observed max (0 when empty).
     pub fn quantile(&self, q: f64) -> u64 {
         quantile_from_buckets(&self.buckets(), q, self.max())
     }

@@ -13,7 +13,11 @@
 //!            → refine_range / refine_knn at the true position
 //! ```
 //!
-//! and contributes one end-to-end latency (admission → refined answer).
+//! and contributes one end-to-end latency (scheduled arrival → refined
+//! answer). Queue wait, e2e latency and the deadline all start at the
+//! request's *scheduled* instant, not at the moment the producer got round
+//! to enqueueing it: a producer lagging behind its schedule therefore shows
+//! up as latency instead of hiding it (no coordinated omission).
 //! After the last arrival the queue closes, workers drain it and exit, and
 //! the session folds its sharded registry back into the engine
 //! ([`nela::EngineSession::finish`]) so reciprocity audits still hold.
@@ -24,7 +28,7 @@
 //! order-independent answer digest replay exactly (shed is timing-free only
 //! when the queue capacity covers all requests; the replay tests use that).
 
-use crate::arrivals::{schedule, QueryKind};
+use crate::arrivals::{schedule, Arrival, QueryKind};
 use crate::config::{ServeConfig, ServeConfigError, Transport};
 use crate::queue::{Pop, Push, RequestQueue};
 use crate::report::{answer_hash, NetReport, ServeReport, StageStats};
@@ -41,8 +45,24 @@ struct Job {
     id: u32,
     host: UserId,
     query: QueryKind,
-    enqueued: Instant,
+    /// The instant the schedule says this request arrives — the origin of
+    /// its queue wait, e2e latency and deadline.
+    scheduled: Instant,
     deadline: Option<Instant>,
+}
+
+impl Job {
+    /// The job for `arrival` in a session started at `start`.
+    fn new(arrival: &Arrival, start: Instant, deadline: Option<Duration>) -> Self {
+        let scheduled = start + arrival.at;
+        Job {
+            id: arrival.id,
+            host: arrival.host,
+            query: arrival.query,
+            scheduled,
+            deadline: deadline.map(|d| scheduled + d),
+        }
+    }
 }
 
 /// What one worker measured; merged into the report after the join.
@@ -117,7 +137,7 @@ fn worker_loop(
             Pop::Closed => return log,
         };
         let picked = Instant::now();
-        let wait = picked - job.enqueued;
+        let wait = picked - job.scheduled;
         nela_obs::observe_duration(nela_obs::stage::SERVE_QUEUE_WAIT, wait);
         log.queue_wait.push(ns(wait));
         if job.deadline.is_some_and(|d| picked > d) {
@@ -144,7 +164,7 @@ fn worker_loop(
         let (candidates, refined, lbs_ns, refine_ns) =
             answer(server, &result.region, position, job.query);
         let done = Instant::now();
-        let e2e = done - job.enqueued;
+        let e2e = done - job.scheduled;
         nela_obs::observe_duration(nela_obs::stage::SERVE_E2E, e2e);
         nela_obs::add(nela_obs::counter::SERVE_SERVED, 1);
         log.e2e.push(ns(e2e));
@@ -263,19 +283,11 @@ pub fn run_session(
         // The producer runs on this thread: sleep to each scheduled arrival,
         // then admit or shed — never wait for completions (open loop).
         for arrival in &arrivals {
-            let target = start + arrival.at;
+            let job = Job::new(arrival, start, config.deadline);
             let now = Instant::now();
-            if target > now {
-                std::thread::sleep(target - now);
+            if job.scheduled > now {
+                std::thread::sleep(job.scheduled - now);
             }
-            let enqueued = Instant::now();
-            let job = Job {
-                id: arrival.id,
-                host: arrival.host,
-                query: arrival.query,
-                enqueued,
-                deadline: config.deadline.map(|d| enqueued + d),
-            };
             match queue.push(job) {
                 Push::Admitted => {
                     admitted += 1;
@@ -498,6 +510,48 @@ mod tests {
     }
 
     #[test]
+    fn late_admission_is_timed_from_the_scheduled_instant() {
+        // The producer admits this arrival 50 ms after its scheduled
+        // instant (it lagged behind the schedule). The lag must count:
+        // latency and deadline both start at the scheduled instant.
+        let lag = Duration::from_millis(50);
+        let arrival = Arrival {
+            id: 0,
+            at: Duration::from_millis(10),
+            host: 0,
+            query: QueryKind::Knn(1),
+        };
+        let start = Instant::now()
+            .checked_sub(arrival.at + lag)
+            .expect("monotonic clock older than 60 ms");
+        let deadline = Duration::from_millis(20);
+        let job = Job::new(&arrival, start, Some(deadline));
+        assert_eq!(job.scheduled, start + arrival.at);
+        assert_eq!(job.deadline, Some(start + arrival.at + deadline));
+
+        let system = small_system();
+        let session = CloakingEngine::new(
+            &system,
+            ClusteringAlgo::TConnDistributed,
+            BoundingAlgo::Secure,
+        )
+        .into_session(1);
+        let server = LbsServer::new(PoiStore::from_points(&system.points, 1));
+        let queue = RequestQueue::new(1);
+        assert!(matches!(queue.push(job), Push::Admitted));
+        queue.close();
+        let log = worker_loop(&queue, &session, &server, &system.points, start);
+        // Picked up well past `scheduled + deadline`: expired, with the
+        // whole lag in its queue wait.
+        assert_eq!(log.expired, 1);
+        assert!(
+            log.queue_wait[0] >= ns(lag),
+            "wait {} ns",
+            log.queue_wait[0]
+        );
+    }
+
+    #[test]
     fn tiny_deadline_expires_queued_requests() {
         let system = small_system();
         let cfg = ServeConfig {
@@ -505,8 +559,8 @@ mod tests {
             ..fast_config()
         };
         let report = run_with_system(&system, &cfg).unwrap();
-        // A zero deadline from admission expires anything not picked up in
-        // the same instant; with instantaneous arrivals the backlog makes
+        // A zero deadline from the scheduled arrival expires anything not
+        // picked up in the same instant; with instantaneous arrivals the backlog makes
         // that the common case.
         assert!(report.expired > 0, "zero deadline must expire requests");
         assert_eq!(report.served + report.failed + report.expired, 60);
